@@ -184,8 +184,11 @@ void bench_finetune_serve() {
   serve::ModelStore store(phase2.compress.model.bytes);
   store.warmup();
   store.reset_stats();
-  serve::InferenceSession session(store, w2.net);
-  auto logits = session.infer(w2.test.images);
+  serve::InferenceSession session(store);
+  // The training net's Flatten is not part of the served fc chain.
+  const auto& images = w2.test.images;
+  auto logits = session.infer(
+      images.reshaped({images.dim(0), images.numel() / images.dim(0)}));
   auto hits = nn::count_hits(logits, w2.test.labels);
   const auto stats = store.stats();
   const double acc =

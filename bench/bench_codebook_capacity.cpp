@@ -92,7 +92,6 @@ std::size_t capacity_under(const core::EncodedModel& model, bool native,
 double warm_p50_ms(const core::EncodedModel& model, bool native,
                    bool sparse) {
   serve::ModelStore store(model.bytes, store_options(native));
-  auto net = serve::make_fc_network(store.reader());
   const auto in_features = store.reader().entry(std::size_t{0}).cols;
   util::Pcg32 rng(42);
   std::vector<double> warm;
@@ -102,7 +101,7 @@ double warm_p50_ms(const core::EncodedModel& model, bool native,
     for (std::int64_t i = 0; i < x.numel(); ++i) {
       x[i] = static_cast<float>(rng.normal(0.0, 1.0));
     }
-    serve::InferenceSession session(store, net);
+    serve::InferenceSession session(store);
     session.enable_sparse_forward(sparse);
     timer.reset();
     session.infer(x);

@@ -59,7 +59,6 @@ RunResult run_scenario(const core::EncodedModel& model,
   serve::ModelStoreOptions opts;
   opts.cache_budget_bytes = budget_bytes;
   serve::ModelStore store(model.bytes, opts);
-  auto net = serve::make_fc_network(store.reader());
   const auto in_features = store.reader().entry(std::size_t{0}).cols;
 
   util::Pcg32 rng(77);
@@ -71,7 +70,7 @@ RunResult run_scenario(const core::EncodedModel& model,
     for (std::int64_t i = 0; i < x.numel(); ++i) {
       x[i] = static_cast<float>(rng.normal(0.0, 1.0));
     }
-    serve::InferenceSession session(store, net);  // request-scoped session
+    serve::InferenceSession session(store);  // request-scoped session
     timer.reset();
     session.infer(x);
     latencies.push_back(timer.millis());
@@ -196,7 +195,6 @@ int main() {
       opts.build_csr = true;
       opts.native_form = native != 0;
       serve::ModelStore store(dc_model.bytes, opts);
-      auto net = serve::make_fc_network(store.reader());
       const auto in_features = store.reader().entry(std::size_t{0}).cols;
       util::Pcg32 rng(5);
       std::vector<double> lat;
@@ -206,7 +204,7 @@ int main() {
         for (std::int64_t i = 0; i < x.numel(); ++i) {
           x[i] = static_cast<float>(rng.normal(0.0, 1.0));
         }
-        serve::InferenceSession session(store, net);
+        serve::InferenceSession session(store);
         session.enable_sparse_forward(true);
         timer.reset();
         session.infer(x);

@@ -13,11 +13,10 @@ namespace deepsz::compress {
 namespace {
 
 /// Loads the container through the serving layer and checks the acceptance
-/// property: a warm request binds cached layers only — zero codec work.
+/// property: a warm request reads cached layers only — zero codec work.
 void verify_serving(const core::EncodedModel& model, std::int64_t batch,
                     CompareRow& row) {
   serve::ModelStore store(model.bytes);
-  auto net = serve::make_fc_network(store.reader());
   const auto in_features = store.reader().entry(std::size_t{0}).cols;
 
   util::Pcg32 rng(0x5eedbee5);
@@ -27,12 +26,12 @@ void verify_serving(const core::EncodedModel& model, std::int64_t batch,
   }
 
   {
-    serve::InferenceSession cold(store, net);
+    serve::InferenceSession cold(store);
     (void)cold.infer(x);  // decodes every reached layer into the cache
   }
   store.reset_stats();
   {
-    serve::InferenceSession warm(store, net);
+    serve::InferenceSession warm(store);
     (void)warm.infer(x);
   }
   const auto stats = store.stats();

@@ -65,11 +65,6 @@ DecodeTiming load_compressed_model(std::span<const std::uint8_t> bytes,
   // so the reload cost below is assigned, never accumulated, and a
   // DeepSzReport that stores the result never double-reports a phase.
   util::WallTimer timer;
-  // A serving session may have left bound (externally owned) weights on any
-  // fc-layer — including ones this container does not cover — which would
-  // shadow the layer's own weights in forward(). Loading a model puts the
-  // whole network back on its own storage.
-  for (auto* d : net.dense_layers()) d->unbind_weights();
   load_layers_into_network(decoded.layers, net);
   for (const auto& [name, bias] : decoded.biases) {
     auto* d = net.find_dense(name);

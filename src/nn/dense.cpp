@@ -15,18 +15,6 @@ Dense::Dense(std::int64_t in_features, std::int64_t out_features)
   set_name("dense");
 }
 
-void Dense::bind_weights(std::span<const float> weights,
-                         std::span<const float> bias) {
-  if (static_cast<std::int64_t>(weights.size()) != w_.numel()) {
-    throw std::invalid_argument("Dense::bind_weights: weight size mismatch");
-  }
-  if (!bias.empty() && static_cast<std::int64_t>(bias.size()) != b_.numel()) {
-    throw std::invalid_argument("Dense::bind_weights: bias size mismatch");
-  }
-  bound_w_ = weights;
-  bound_b_ = bias;
-}
-
 void Dense::set_mask(std::vector<float> mask) {
   if (static_cast<std::int64_t>(mask.size()) != w_.numel()) {
     throw std::invalid_argument("Dense::set_mask: size mismatch");
@@ -44,26 +32,18 @@ Tensor Dense::forward(const Tensor& x, bool train) {
                                 x.shape_str());
   }
   const std::int64_t n = x.dim(0);
-  // Bound (externally owned) weights take precedence over the layer's own
-  // storage; see bind_weights().
-  const float* w = has_bound_weights() ? bound_w_.data() : w_.data();
-  const float* b = bound_b_.empty() ? b_.data() : bound_b_.data();
   Tensor y({n, out_});
   // y = x W^T (+ b): gemm_nt with B stored as [out, in].
-  tensor::gemm_nt(n, out_, in_, x.data(), w, y.data());
+  tensor::gemm_nt(n, out_, in_, x.data(), w_.data(), y.data());
   for (std::int64_t i = 0; i < n; ++i) {
     float* row = y.data() + i * out_;
-    for (std::int64_t j = 0; j < out_; ++j) row[j] += b[j];
+    for (std::int64_t j = 0; j < out_; ++j) row[j] += b_[j];
   }
   if (train) cached_x_ = x;
   return y;
 }
 
 Tensor Dense::backward(const Tensor& dy) {
-  if (has_bound_weights()) {
-    throw std::logic_error(
-        "Dense::backward: layer serves bound (inference-only) weights");
-  }
   const std::int64_t n = dy.dim(0);
   if (cached_x_.numel() == 0 || cached_x_.dim(0) != n) {
     throw std::runtime_error("Dense::backward without matching forward");

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "nn/layer.h"
 #include "util/rng.h"
@@ -39,22 +38,10 @@ class Dense : public Layer {
     return mask_ ? &*mask_ : nullptr;
   }
 
-  /// Binds externally owned weights (row-major [out, in]) and optionally a
-  /// bias ([out]; empty keeps the layer's own bias). forward() reads the
-  /// bound memory directly — no copy — so a serving cache can share one
-  /// decoded layer across sessions. The memory must stay valid and unchanged
-  /// until unbind_weights(); backward() is inference-only while bound and
-  /// throws std::logic_error.
-  void bind_weights(std::span<const float> weights,
-                    std::span<const float> bias = {});
-  void unbind_weights() { bound_w_ = {}; bound_b_ = {}; }
-  bool has_bound_weights() const { return bound_w_.data() != nullptr; }
-
  private:
   std::int64_t in_, out_;
   Tensor w_, b_, dw_, db_;
   std::optional<std::vector<float>> mask_;
-  std::span<const float> bound_w_, bound_b_;
   Tensor cached_x_;
 };
 

@@ -2,153 +2,158 @@
 
 #include <stdexcept>
 
-#include "nn/layers.h"
+#include "nn/network.h"
 #include "serve/sparse_forward.h"
+#include "tensor/gemm.h"
 #include "util/timer.h"
 
 namespace deepsz::serve {
+namespace {
 
-InferenceSession::InferenceSession(ModelStore& store, nn::Network& net)
-    : store_(store), net_(net), pinned_(net.num_layers()) {
-  for (const auto& layer : net_.layers()) {
-    auto* dense = dynamic_cast<nn::Dense*>(layer.get());
-    if (dense != nullptr && store_.reader().contains(dense->name())) {
-      const auto& entry = store_.reader().entry(dense->name());
-      if (entry.rows != dense->out_features() ||
-          entry.cols != dense->in_features()) {
-        throw std::invalid_argument(
-            "InferenceSession: container layer " + dense->name() +
-            " does not match the network's " + dense->name() + " shape");
-      }
+// y = x W^T + b, then ReLU unless this is the last layer — the arithmetic
+// nn::Dense::forward and nn::ReLU::forward perform, in the same order, so
+// results are bit-exact with a network holding the same weights.
+tensor::Tensor dense_layer_forward(const ServedLayer& layer,
+                                   const tensor::Tensor& x, bool relu) {
+  const std::int64_t n = x.dim(0);
+  tensor::Tensor y({n, layer.rows});
+  tensor::gemm_nt(n, layer.rows, layer.cols, x.data(), layer.dense.data(),
+                  y.data());
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* row = y.data() + i * layer.rows;
+    for (std::int64_t j = 0; j < layer.rows; ++j) {
+      row[j] += layer.bias.empty() ? 0.0f : layer.bias[j];
     }
   }
-
-  // Detect the sparse-fast-path shape: Dense (ReLU Dense)* with every Dense
-  // served from the container. Anything else walks the generic path.
-  const auto& layers = net_.layers();
-  bool chain = !layers.empty();
-  for (std::size_t i = 0; chain && i < layers.size(); ++i) {
-    if (i % 2 == 0) {
-      auto* dense = dynamic_cast<nn::Dense*>(layers[i].get());
-      if (dense != nullptr && store_.reader().contains(dense->name())) {
-        fc_chain_.push_back(i);
-      } else {
-        chain = false;
-      }
-    } else {
-      chain = dynamic_cast<nn::ReLU*>(layers[i].get()) != nullptr;
+  if (relu) {
+    for (std::int64_t i = 0; i < y.numel(); ++i) {
+      if (!(y[i] > 0.0f)) y[i] = 0.0f;
     }
   }
-  chain = chain && layers.size() % 2 == 1;  // must end on a Dense
-  if (!chain) fc_chain_.clear();
+  return y;
 }
 
-InferenceSession::~InferenceSession() { release_layers(); }
+}  // namespace
+
+InferenceSession::InferenceSession(ModelStore& store) : store_(store) {
+  check_fc_chain(store_.reader());
+  chain_.resize(store_.reader().num_layers());
+}
+
+InferenceSession::InferenceSession(ModelStore& store, const nn::Network& net)
+    : InferenceSession(store) {
+  const auto& entries = store_.reader().entries();
+  const auto& layers = net.layers();
+  bool match = layers.size() == 2 * entries.size() - 1;
+  for (std::size_t i = 0; match && i < layers.size(); ++i) {
+    if (i % 2 == 1) {
+      match = dynamic_cast<const nn::ReLU*>(layers[i].get()) != nullptr;
+      continue;
+    }
+    const auto* dense = dynamic_cast<const nn::Dense*>(layers[i].get());
+    const auto& e = entries[i / 2];
+    match = dense != nullptr && dense->name() == e.name &&
+            dense->in_features() == e.cols && dense->out_features() == e.rows;
+  }
+  if (!match) {
+    throw std::invalid_argument("InferenceSession: network \"" + net.name() +
+                                "\" is not the container's Dense/ReLU chain");
+  }
+}
 
 void InferenceSession::release_layers() {
-  const auto& layers = net_.layers();
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    if (!pinned_[i]) continue;
-    if (auto* dense = dynamic_cast<nn::Dense*>(layers[i].get())) {
-      dense->unbind_weights();
+  for (auto& layer : chain_) layer.reset();
+}
+
+const ServedLayer& InferenceSession::pin(std::size_t i) {
+  if (!chain_[i]) {
+    // First time a request reaches the layer: fetch the decoded form (cache
+    // hit, coalesced wait, or an actual decode).
+    const core::ContainerEntry& e = store_.reader().entry(i);
+    util::WallTimer wait;
+    auto served = store_.get(e.name);
+    stats_.decode_wait_ms += wait.millis();
+    if (!served->bias.empty() &&
+        served->bias.size() != static_cast<std::size_t>(served->rows)) {
+      throw std::invalid_argument("InferenceSession: layer \"" + e.name +
+                                  "\" has a bias of " +
+                                  std::to_string(served->bias.size()) +
+                                  " element(s) for " +
+                                  std::to_string(served->rows) + " rows");
     }
-    pinned_[i].reset();
+    chain_[i] = std::move(served);
+    ++stats_.layer_installs;
   }
+  return *chain_[i];
 }
 
-void InferenceSession::install_layer(std::size_t i, nn::Dense* dense) {
-  // First time this request path reaches the layer: fetch the decoded
-  // form (cache hit, coalesced wait, or an actual decode) and bind it.
-  util::WallTimer wait;
-  auto served = store_.get(dense->name());
-  stats_.decode_wait_ms += wait.millis();
-  // A codebook-form layer has no dense matrix to bind; it is pinned only,
-  // and every forward through it must take the sparse kernel path.
-  if (served->form != ServingForm::kCodebookCsr) {
-    dense->bind_weights(served->dense, served->bias);
+tensor::Tensor InferenceSession::infer(const tensor::Tensor& batch) {
+  const std::int64_t in = store_.reader().entries().front().cols;
+  if (batch.ndim() != 2 || batch.dim(1) != in) {
+    throw std::invalid_argument("InferenceSession: bad input shape " +
+                                batch.shape_str() + ", expected [N, " +
+                                std::to_string(in) + "]");
   }
-  pinned_[i] = std::move(served);
-  ++stats_.layer_installs;
-}
+  const std::int64_t n = batch.dim(0);
 
-nn::Tensor InferenceSession::infer(const nn::Tensor& batch) {
-  const auto& layers = net_.layers();
-
-  const bool want_sparse = sparse_enabled_ && !fc_chain_.empty() &&
-                           sparse_forward_profitable(batch.dim(0));
+  const bool want_sparse = sparse_enabled_ && sparse_forward_profitable(n);
   // A native-form store may serve codebook layers, which only the kernel
-  // path can run — their presence forces it at every batch size, so the
-  // chain must be installed (forms discovered) even when the sparse path
-  // would not otherwise be profitable.
-  if (!fc_chain_.empty() &&
-      (want_sparse || store_.options().native_form)) {
-    std::vector<std::shared_ptr<const ServedLayer>> chain;
-    chain.reserve(fc_chain_.size());
-    bool csr_ok = true;
-    bool any_codebook = false;
-    for (std::size_t i : fc_chain_) {
-      if (!pinned_[i]) {
-        install_layer(i, static_cast<nn::Dense*>(layers[i].get()));
-      }
-      csr_ok = csr_ok && pinned_[i]->has_csr();
-      any_codebook =
-          any_codebook || pinned_[i]->form == ServingForm::kCodebookCsr;
-      chain.push_back(pinned_[i]);
+  // path can run — so the chain is pinned (its forms discovered) before the
+  // first layer computes, even when the sparse path is not otherwise wanted.
+  bool kernel = false;
+  if (want_sparse || store_.options().native_form) {
+    bool csr = true;
+    bool codebook = false;
+    for (std::size_t i = 0; i < chain_.size(); ++i) {
+      const ServedLayer& layer = pin(i);
+      csr = csr && layer.has_csr();
+      codebook = codebook || layer.form == ServingForm::kCodebookCsr;
     }
-    // A store built without build_csr serves dense-only layers; fall through
-    // to the generic walk (the layers are installed and bound either way).
-    if (csr_ok && (want_sparse || any_codebook)) {
-      util::WallTimer compute;
-      nn::Tensor y = sparse_fc_forward(chain, batch);
-      stats_.compute_ms += compute.millis();
-      ++stats_.requests;
-      stats_.samples += static_cast<std::uint64_t>(batch.dim(0));
-      return y;
-    }
+    kernel = codebook || (want_sparse && csr);
   }
 
-  nn::Tensor x = batch;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    auto* layer = layers[i].get();
-    auto* dense = dynamic_cast<nn::Dense*>(layer);
-    if (dense != nullptr && !pinned_[i] &&
-        store_.reader().contains(dense->name())) {
-      install_layer(i, dense);
-    }
-    if (dense != nullptr && pinned_[i] &&
-        pinned_[i]->form == ServingForm::kCodebookCsr) {
-      // No dense weights exist to bind; only the Dense/ReLU-chain kernel
-      // path can serve this form.
-      throw std::runtime_error(
-          "InferenceSession: layer \"" + dense->name() +
-          "\" is served in codebook form, which the generic layer walk "
-          "cannot run; the network must be a pure Dense/ReLU chain");
-    }
+  tensor::Tensor y;
+  if (kernel) {
     util::WallTimer compute;
-    x = layer->forward(x, /*train=*/false);
+    y = sparse_fc_forward(chain_, batch);
     stats_.compute_ms += compute.millis();
+  } else {
+    for (std::size_t i = 0; i < chain_.size(); ++i) {
+      const ServedLayer& layer = pin(i);
+      util::WallTimer compute;
+      y = dense_layer_forward(layer, i == 0 ? batch : y,
+                              /*relu=*/i + 1 < chain_.size());
+      stats_.compute_ms += compute.millis();
+    }
   }
   ++stats_.requests;
-  stats_.samples += static_cast<std::uint64_t>(batch.dim(0));
-  return x;
+  stats_.samples += static_cast<std::uint64_t>(n);
+  return y;
+}
+
+void check_fc_chain(const core::ContainerReader& reader) {
+  const auto& entries = reader.entries();
+  if (entries.empty()) {
+    throw std::invalid_argument("check_fc_chain: container has no layers");
+  }
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i - 1].rows != entries[i].cols) {
+      throw std::invalid_argument(
+          "check_fc_chain: " + entries[i - 1].name + " [" +
+          std::to_string(entries[i - 1].rows) + " out] does not feed " +
+          entries[i].name + " [" + std::to_string(entries[i].cols) + " in]");
+    }
+  }
 }
 
 nn::Network make_fc_network(const core::ContainerReader& reader,
                             const std::string& name) {
+  check_fc_chain(reader);
   const auto& entries = reader.entries();
-  if (entries.empty()) {
-    throw std::invalid_argument("make_fc_network: container has no layers");
-  }
   nn::Network net(name);
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& e = entries[i];
-    if (i > 0 && entries[i - 1].rows != e.cols) {
-      throw std::invalid_argument(
-          "make_fc_network: " + entries[i - 1].name + " [" +
-          std::to_string(entries[i - 1].rows) + " out] does not feed " +
-          e.name + " [" + std::to_string(e.cols) + " in]");
-    }
-    net.add<nn::Dense>(e.cols, e.rows)->set_name(e.name);
+    net.add<nn::Dense>(entries[i].cols, entries[i].rows)
+        ->set_name(entries[i].name);
     if (i + 1 < entries.size()) net.add<nn::ReLU>();
   }
   return net;

@@ -1,25 +1,31 @@
-// Batched inference over a ModelStore-backed network.
+// Batched inference straight from a ModelStore's decoded layers.
 //
-// The session walks the network layer by layer and, the first time a Dense
-// layer is reached whose name appears in the container, fetches it from the
-// store's layer-decode cache and binds the cached dense weights + bias into
-// the layer (Dense::bind_weights — no copy). First-request latency therefore
-// pays codec work only for the layers the forward pass actually reaches,
-// interleaved with the compute of the layers before them; once every served
-// layer is installed, steady-state requests do zero codec work.
+// A session serves the container's fc stack — entry i is a [rows x cols]
+// layer, with ReLU between consecutive layers — from the store's
+// ServedLayers; it holds one pin (shared_ptr) per entry and builds no
+// nn::Network. The first time a request reaches a layer, the session
+// fetches it from the store's layer-decode cache, so first-request latency
+// pays codec work only for the layers the pass reaches, interleaved with
+// the compute of the layers before them; once every layer is pinned,
+// steady-state requests do zero codec work and never consult the store.
 //
-// A session is single-threaded (it mutates its network); concurrency comes
-// from running one session per worker thread over one shared ModelStore —
-// the cache coalesces duplicate decodes, so N cold sessions still decode
-// each layer exactly once.
+// A session is single-threaded (it owns its pins and counters);
+// concurrency comes from running one session per worker thread over one
+// shared ModelStore — the cache coalesces duplicate decodes, so N cold
+// sessions still decode each layer exactly once.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
-#include "nn/network.h"
 #include "serve/model_store.h"
+#include "tensor/tensor.h"
+
+namespace deepsz::nn {
+class Network;
+}
 
 namespace deepsz::serve {
 
@@ -29,18 +35,22 @@ namespace deepsz::serve {
 struct SessionStats {
   std::uint64_t requests = 0;
   std::uint64_t samples = 0;         // total batch rows served
-  std::uint64_t layer_installs = 0;  // store fetches + weight binds
+  std::uint64_t layer_installs = 0;  // store fetches
   double decode_wait_ms = 0.0;       // blocked on ModelStore::get
   double compute_ms = 0.0;           // forward-pass time
 };
 
 class InferenceSession {
  public:
-  /// `net` supplies the architecture (and the weights of any layer the
-  /// container does not cover, e.g. conv trunks). Both `store` and `net`
-  /// must outlive the session; the destructor unbinds every weight it bound.
-  InferenceSession(ModelStore& store, nn::Network& net);
-  ~InferenceSession();
+  /// Serves `store`'s fc chain. Throws std::invalid_argument when the
+  /// container's layers do not form one (check_fc_chain). `store` must
+  /// outlive the session. Decodes nothing until the first request.
+  explicit InferenceSession(ModelStore& store);
+
+  /// The same session, after checking that `net` is exactly the container's
+  /// Dense/ReLU chain (layer names and shapes); std::invalid_argument
+  /// otherwise. The net's weights are never read.
+  InferenceSession(ModelStore& store, const nn::Network& net);
 
   /// Opts this session into the sparse batched forward (see infer()). Off
   /// by default so direct sessions stay bit-exact with an eagerly decoded
@@ -51,52 +61,53 @@ class InferenceSession {
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
-  /// Serves one batched forward pass ([batch, features] in, logits out).
+  /// Serves one batched forward pass ([batch, features] in, logits out);
+  /// throws std::invalid_argument for any other input shape.
   ///
-  /// With enable_sparse_forward(true), when the network is a pure
-  /// Dense/ReLU chain fully covered by the container and the batch is large
-  /// enough (sparse_forward_profitable), the pass runs through
+  /// By default each layer runs as nn::Dense::forward and nn::ReLU::forward
+  /// compute it (dense GEMM, bias, ReLU), so results are bit-exact with an
+  /// eagerly decoded network. With enable_sparse_forward(true), batches
+  /// large enough for sparse_forward_profitable instead run through
   /// serve::sparse_fc_forward on the layers' CSR views — only surviving
   /// (non-pruned) weights are touched, so batched requests cost ~density x
-  /// the dense FLOPs. Small batches, networks with non-fc layers, and
-  /// sessions that never opted in take the generic bound-weights walk. The
-  /// two paths agree to fp tolerance, not bit-exactly (different summation
-  /// order).
+  /// the dense FLOPs. The two paths agree to fp tolerance, not bit-exactly
+  /// (different summation order). Unless every layer has a CSR view (a
+  /// store built with build_csr), opted-in batches stay on the dense path.
   ///
   /// Layers a native-form store serves as ServingForm::kCodebookCsr have no
-  /// dense matrix at all, so they force the kernel path at every batch size
-  /// (opt-in not required); reaching one from the generic walk — a network
-  /// that is not a pure Dense/ReLU chain — throws std::runtime_error.
-  nn::Tensor infer(const nn::Tensor& batch);
+  /// dense matrix at all, so a chain holding one takes the kernel path at
+  /// every batch size (opt-in not required); the kernel rejects that chain
+  /// if another layer lacks a CSR view.
+  tensor::Tensor infer(const tensor::Tensor& batch);
 
-  /// Drops this session's weight bindings (and cache pins); the next
-  /// request re-fetches from the store — e.g. after evict_all() in tests.
+  /// Drops this session's layer pins; the next request re-fetches from the
+  /// store — e.g. after evict_all() in tests, or when a worker goes idle.
   void release_layers();
 
   SessionStats stats() const { return stats_; }
 
  private:
-  void install_layer(std::size_t i, nn::Dense* dense);
+  const ServedLayer& pin(std::size_t i);
 
   ModelStore& store_;
-  nn::Network& net_;
-  // Pins: cached layers this session has bound; positionally parallel to
-  // net_.layers(). A pinned entry keeps the decoded memory alive even if
-  // the store evicts it, so bound spans never dangle.
-  std::vector<std::shared_ptr<const ServedLayer>> pinned_;
-  // Net-layer indices of the Dense layers when the whole network is a
-  // served Dense/ReLU chain (the sparse fast path); empty otherwise.
-  std::vector<std::size_t> fc_chain_;
+  // One pin per container entry, in chain order; null until first reached.
+  // A pin keeps the decoded layer alive even if the store evicts it.
+  std::vector<std::shared_ptr<const ServedLayer>> chain_;
   bool sparse_enabled_ = false;
   SessionStats stats_;
 };
 
+/// Checks that a container's fc stack is servable as one chain: at least one
+/// layer, and rows_i == cols_{i+1} for consecutive layers. Throws
+/// std::invalid_argument otherwise. The session constructor,
+/// make_fc_network and server::ModelRepository all validate through it.
+void check_fc_chain(const core::ContainerReader& reader);
+
 /// Builds the sequential Dense+ReLU network implied by a container's
 /// fc-stack: layer i becomes Dense(cols_i, rows_i) under the container
-/// name, with ReLU between consecutive layers. Throws std::invalid_argument
-/// when the stack does not chain (rows_i != cols_{i+1}) or is empty —
-/// serve-bench and tests use this to serve a container stand-alone, without
-/// the original training architecture.
+/// name, with ReLU between consecutive layers (check_fc_chain first). The
+/// result is a freshly initialized training network — serving never needs
+/// one; it is for callers that train or evaluate the architecture.
 nn::Network make_fc_network(const core::ContainerReader& reader,
                             const std::string& name = "served-fc");
 

@@ -269,7 +269,10 @@ std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
   if (options_.build_csr) {
     // CSR view for the sparse batched forward; pruned entries are exact
     // zeros in the decoded dense form, so a scan reproduces the sparsity.
+    // The decoded data array bounds the nonzero count.
     served->csr_rowptr.reserve(static_cast<std::size_t>(served->rows) + 1);
+    served->csr_col.reserve(sparse_layer.data.size());
+    served->csr_val.reserve(sparse_layer.data.size());
     served->csr_rowptr.push_back(0);
     for (std::int64_t r = 0; r < served->rows; ++r) {
       const float* row = served->dense.data() + r * served->cols;
@@ -317,9 +320,10 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
   served->cols = e.cols;
   served->codebook = std::move(q.codebook);
   served->bias = reader_.decode_bias(entry_index);
-  // A codebook layer is bound straight into the forward kernel with no dense
-  // fallback, so a bias of the wrong length is unservable — hard error here
-  // (the dense path tolerates it because callers can rebind).
+  // A codebook layer feeds its bias straight into the forward kernel with no
+  // dense fallback, so a bias of the wrong length is unservable — hard error
+  // here (a dense decode still succeeds: load_compressed_model can keep a
+  // network's own bias instead).
   if (!served->bias.empty() &&
       served->bias.size() != static_cast<std::size_t>(e.rows)) {
     throw std::runtime_error("ModelStore: bias length " +
@@ -338,6 +342,12 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
   const std::uint64_t cols = static_cast<std::uint64_t>(e.cols);
   const bool narrow = served->codebook.size() <= 256;
   served->csr_rowptr.assign(static_cast<std::size_t>(e.rows) + 1, 0);
+  served->csr_col.reserve(deltas.size());
+  if (narrow) {
+    served->csr_id8.reserve(deltas.size());
+  } else {
+    served->csr_id16.reserve(deltas.size());
+  }
   std::int64_t pos = -1;
   for (std::size_t i = 0; i < deltas.size(); ++i) {
     if (deltas[i] == 0) {

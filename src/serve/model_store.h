@@ -52,9 +52,8 @@ struct ModelStoreOptions {
   /// this on, a "dc"-coded layer becomes a kCodebookCsr entry — CSR
   /// structure over u8/u16 codebook ids plus the f32 codebook, ~4-5
   /// bits/weight resident instead of 32 — and codecs without a compressed-
-  /// domain form decode exactly as before. Off by default (the generic
-  /// layer-walk can only bind dense layers); turned on by ModelRepository,
-  /// whose forward paths dispatch on ServedLayer::form.
+  /// domain form decode exactly as before. Off by default; turned on by
+  /// ModelRepository, whose forward paths dispatch on ServedLayer::form.
   bool native_form = false;
   /// Optional process-wide budget shared with other stores (one per serving
   /// daemon; see serve/cache_budget.h). The per-store budget above still
@@ -130,14 +129,16 @@ struct ServedLayer {
     return total > 0.0 ? static_cast<double>(nnz()) / total : 0.0;
   }
 
+  /// Heap bytes the entry holds: vector capacities, not sizes, since the
+  /// CSR arrays are reserved for the decoded entry count up front.
   std::size_t bytes() const {
-    return dense.size() * sizeof(float) + bias.size() * sizeof(float) +
-           csr_rowptr.size() * sizeof(std::uint32_t) +
-           csr_col.size() * sizeof(std::uint32_t) +
-           csr_val.size() * sizeof(float) +
-           codebook.size() * sizeof(float) + csr_id8.size() +
-           csr_id16.size() * sizeof(std::uint16_t) +
-           sparse.data.size() * sizeof(float) + sparse.index.size() +
+    return dense.capacity() * sizeof(float) + bias.capacity() * sizeof(float) +
+           csr_rowptr.capacity() * sizeof(std::uint32_t) +
+           csr_col.capacity() * sizeof(std::uint32_t) +
+           csr_val.capacity() * sizeof(float) +
+           codebook.capacity() * sizeof(float) + csr_id8.capacity() +
+           csr_id16.capacity() * sizeof(std::uint16_t) +
+           sparse.data.capacity() * sizeof(float) + sparse.index.capacity() +
            name.size();
   }
 };

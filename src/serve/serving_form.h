@@ -3,11 +3,11 @@
 // Serving used to inflate every layer to dense f32 no matter how it was
 // compressed, so a Deep-Compression layer that costs ~5 bits/weight on the
 // wire cost 32 bits/weight once warm. A ServedLayer now carries exactly one
-// of three forms and every consumer (forward kernels, cache accounting,
-// weight binding) dispatches on the tag:
+// of three forms and every consumer (forward kernels, cache accounting)
+// dispatches on the tag:
 //
-//   kDenseF32     dense row-major f32 matrix — the universal fallback; the
-//                 only form the generic layer-by-layer network walk can bind.
+//   kDenseF32     dense row-major f32 matrix — the universal fallback; what
+//                 the session's dense GEMM walk reads.
 //   kSparseCsr    dense matrix plus a CSR view (rowptr/col/val) of the
 //                 surviving weights — what the sparse batched forward runs.
 //   kCodebookCsr  compressed-domain: CSR structure whose per-nonzero payload

@@ -8,10 +8,6 @@
 
 namespace deepsz::server {
 
-nn::Network ServedModel::make_network() const {
-  return serve::make_fc_network(store->reader(), name);
-}
-
 namespace {
 
 // Directory part of `path` for resolving a delta's base_id relative to the
@@ -149,8 +145,8 @@ std::shared_ptr<ServedModel> ModelRepository::build(
       std::make_shared<serve::ModelStore>(std::move(container), opts);
 
   // Reject containers the serving path cannot run (non-chaining fc stack,
-  // no layers) BEFORE the swap; make_fc_network throws std::invalid_argument.
-  (void)serve::make_fc_network(model->store->reader(), name);
+  // no layers) BEFORE the swap; check_fc_chain throws std::invalid_argument.
+  serve::check_fc_chain(model->store->reader());
   const auto& entries = model->store->reader().entries();
   model->in_features = entries.front().cols;
   model->out_features = entries.back().rows;

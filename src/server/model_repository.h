@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/network.h"
 #include "serve/cache_budget.h"
 #include "serve/model_store.h"
 #include "util/mutex.h"
@@ -46,10 +45,6 @@ struct ServedModel {
   std::size_t shipped_bytes = 0;
   std::int64_t in_features = 0;
   std::int64_t out_features = 0;
-
-  /// Fresh per-worker network for an InferenceSession (sessions mutate
-  /// their network, so workers must not share one).
-  nn::Network make_network() const;
 };
 
 class ModelRepository {

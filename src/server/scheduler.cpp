@@ -25,17 +25,15 @@ InferResult fail(InferStatus status, std::string why) {
 }
 }  // namespace
 
-/// A worker's bound model version. Rebuilt whenever the repository snapshot
-/// changes (hot swap); the session must die before the network it binds.
+/// A worker's session over one model version. Rebuilt whenever the
+/// repository snapshot changes (hot swap); the old session dies before the
+/// snapshot that owns its store is released.
 struct RequestScheduler::WorkerState {
   std::shared_ptr<const ServedModel> model;
-  std::unique_ptr<nn::Network> net;
   std::unique_ptr<serve::InferenceSession> session;
 
   void bind(std::shared_ptr<const ServedModel> next) {
-    session.reset();  // unbinds weights from the old net before it dies
-    net = std::make_unique<nn::Network>(next->make_network());
-    session = std::make_unique<serve::InferenceSession>(*next->store, *net);
+    session = std::make_unique<serve::InferenceSession>(*next->store);
     // Serving workers take the sparse batched forward: micro-batches run
     // over the CSR view, touching only non-pruned weights.
     session->enable_sparse_forward(true);
@@ -302,7 +300,7 @@ void RequestScheduler::execute_batch(const std::string& name,
   try {
     if (state.model != model) state.bind(model);
 
-    nn::Tensor x({rows, model->in_features});
+    tensor::Tensor x({rows, model->in_features});
     float* dst = x.data();
     for (const auto& p : runnable) {
       std::memcpy(dst, p.req.input.data(),
@@ -317,7 +315,7 @@ void RequestScheduler::execute_batch(const std::string& name,
     forward_span.set_detail(name);
     forward_span.set_phase(std::to_string(rows) + "rows");
     forward_span.set_stage(name);
-    nn::Tensor y = state.session->infer(x);
+    tensor::Tensor y = state.session->infer(x);
     forward_span.close();
     const double forward_ms = forward.millis();
     if (metrics_) metrics_->record_batch(rows, forward_ms);
@@ -338,10 +336,9 @@ void RequestScheduler::execute_batch(const std::string& name,
     }
   } catch (const std::exception& e) {
     // A corrupt layer or a mid-flight unload surfacing as a decode failure
-    // fails this batch, not the worker: drop the bound session so the next
-    // batch rebinds fresh.
+    // fails this batch, not the worker: drop the session so the next batch
+    // starts a fresh one.
     state.session.reset();
-    state.net.reset();
     state.model.reset();
     for (auto& p : runnable) {
       finish(p, fail(InferStatus::kInternalError, e.what()));

@@ -1,12 +1,13 @@
 // Dynamic micro-batching request scheduler.
 //
 // Each model gets a bounded FIFO queue and a small pool of worker threads;
-// each worker owns one InferenceSession (and its network) per model version,
-// so steady-state batches bind zero weights and run zero codec work. A
-// worker that pops a request keeps gathering compatible requests until the
-// batch holds max_batch rows or max_delay_us has passed since the pop, then
-// runs ONE forward pass for the whole batch — under concurrent load the
-// per-row cost amortizes the way Figure 7a's batched forward passes do.
+// each worker owns one InferenceSession per model version, which serves the
+// model's decoded layers straight from its ModelStore, so a worker holds no
+// weights of its own and steady-state batches run zero codec work. A worker
+// that pops a request keeps gathering compatible requests until the batch
+// holds max_batch rows or max_delay_us has passed since the pop, then runs
+// ONE forward pass for the whole batch — under concurrent load the per-row
+// cost amortizes the way Figure 7a's batched forward passes do.
 //
 // Admission control instead of backpressure: a full queue sheds new arrivals
 // immediately with kOverloaded (the HTTP layer maps it to 429), and a
@@ -97,7 +98,7 @@ class RequestScheduler {
     std::vector<std::thread> workers;
   };
 
-  struct WorkerState;  // per-worker session + network, one model version
+  struct WorkerState;  // per-worker session, one model version
 
   ModelQueue& queue_for(const std::string& name) DEEPSZ_REQUIRES(map_mu_);
   void worker_loop(std::string name, ModelQueue& mq);

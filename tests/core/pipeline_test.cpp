@@ -188,30 +188,6 @@ TEST(Pipeline, RepeatedLoadsAreIdempotentWithPerCallTiming) {
   EXPECT_GT(t2.total_ms(), 0.0);
   EXPECT_GE(t2.lossless_ms, 0.0);
   EXPECT_GE(t2.sz_ms, 0.0);
-
-  // Idempotent also across a serving session that left weights bound: the
-  // bound span would otherwise shadow the copied-in values at forward time.
-  auto* fc1 = f.net.find_dense("fc1");
-  const std::vector<float> decoy(
-      static_cast<std::size_t>(fc1->weight().numel()), 123.0f);
-  fc1->bind_weights(decoy);
-  load_compressed_model(model.bytes, f.net);
-  EXPECT_FALSE(fc1->has_bound_weights());
-  EXPECT_EQ(snapshot(f.net), after_first);
-  auto out = f.net.forward(f.test_x);  // forward sees the loaded weights,
-  EXPECT_EQ(out.dim(0), f.test_x.dim(0));  // not the stale binding
-
-  // Even a layer the container does NOT cover is put back on its own
-  // storage: fc3 is bound, then a container holding only fc1/fc2 loads.
-  auto partial =
-      encode_model({layers[0], layers[1]}, {}, ContainerOptions{}, biases);
-  auto* fc3 = f.net.find_dense("fc3");
-  const std::vector<float> decoy3(
-      static_cast<std::size_t>(fc3->weight().numel()), -7.0f);
-  fc3->bind_weights(decoy3);
-  load_compressed_model(partial.bytes, f.net);
-  EXPECT_FALSE(fc3->has_bound_weights());
-  EXPECT_EQ(snapshot(f.net), after_first);
 }
 
 TEST(Pipeline, BiasSizeMismatchWarnsForDenseButThrowsForCodebook) {

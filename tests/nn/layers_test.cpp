@@ -141,46 +141,6 @@ TEST(DenseLayer, BadInputShapeThrows) {
   EXPECT_THROW(d.forward(x, false), std::invalid_argument);
 }
 
-TEST(DenseLayer, BoundWeightsShadowOwnStorageUntilUnbound) {
-  Dense d(3, 2);
-  float own[] = {1, 2, 3, 4, 5, 6};
-  std::copy(own, own + 6, d.weight().data());
-  auto x = Tensor::from({1, 3}, {1, 1, 1});
-
-  // Externally owned weights + bias (e.g. a serving cache entry).
-  const std::vector<float> w = {10, 20, 30, 40, 50, 60};
-  const std::vector<float> b = {0.5f, -0.5f};
-  d.bind_weights(w, b);
-  EXPECT_TRUE(d.has_bound_weights());
-  auto y = d.forward(x, false);
-  EXPECT_FLOAT_EQ(y[0], 60.5f);   // 10+20+30+0.5
-  EXPECT_FLOAT_EQ(y[1], 149.5f);  // 40+50+60-0.5
-
-  // Own storage is untouched and returns as soon as the binding drops.
-  d.unbind_weights();
-  EXPECT_FALSE(d.has_bound_weights());
-  auto z = d.forward(x, false);
-  EXPECT_FLOAT_EQ(z[0], 6.0f);  // own weights, own (zero) bias
-  EXPECT_FLOAT_EQ(z[1], 15.0f);
-}
-
-TEST(DenseLayer, BindWeightsValidatesSizesAndBlocksBackward) {
-  Dense d(3, 2);
-  std::vector<float> w(6, 1.0f);
-  EXPECT_THROW(d.bind_weights(std::vector<float>(5, 1.0f)),
-               std::invalid_argument);
-  EXPECT_THROW(d.bind_weights(w, std::vector<float>(3, 0.0f)),
-               std::invalid_argument);
-  // Empty bias keeps the layer's own.
-  d.bias()[0] = 2.0f;
-  d.bind_weights(w);
-  auto x = Tensor::from({1, 3}, {1, 1, 1});
-  auto y = d.forward(x, true);
-  EXPECT_FLOAT_EQ(y[0], 5.0f);  // 3*1 + own bias 2
-  // Bound weights are inference-only.
-  EXPECT_THROW(d.backward(y), std::logic_error);
-}
-
 TEST(Conv2DLayer, ForwardKnownValues) {
   // 1x1 kernel with weight 2, bias 1: y = 2x + 1.
   Conv2D c(1, 1, 1);

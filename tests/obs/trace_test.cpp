@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -102,11 +103,19 @@ TEST_F(ObsTraceTest, DropOldestKeepsNewestAndCounts) {
 
 TEST_F(ObsTraceTest, SnapshotWindowFiltersOldEvents) {
   // An event that ended long ago (1 ns after process start) vs one ending
-  // now; a 1 ms trailing window must keep only the recent one.
+  // now; a 1 ms trailing window must keep only the recent one. Trace time
+  // counts from process start and ctest runs each case in a fresh process,
+  // so first wait until the process is older than the window (plus a
+  // margin) — before that, every event really is inside the window.
+  constexpr std::uint64_t kWindowNs = 1'000'000;
+  constexpr std::uint64_t kMarginNs = 1'000'000;
+  while (now_ns() <= kWindowNs + kMarginNs) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   Tracer::emit("old", "test", "", "", 0, 1);
   const std::uint64_t now = now_ns();
   Tracer::emit("new", "test", "", "", now, 10);
-  auto snap = Tracer::snapshot(1'000'000);
+  auto snap = Tracer::snapshot(kWindowNs);
   ASSERT_EQ(snap.events.size(), 1u);
   EXPECT_STREQ(snap.events[0].name, "new");
 }

@@ -224,13 +224,11 @@ TEST(DeltaRepository, DeltaLoadedModelIsForwardEquivalent) {
   auto direct = std::make_shared<ModelRepository>();
   auto direct_model = direct->load("prod", target_bytes);
 
-  auto net_a = rollout->make_network();
-  auto net_b = direct_model->make_network();
-  serve::InferenceSession a(*rollout->store, net_a);
-  serve::InferenceSession b(*direct_model->store, net_b);
+  serve::InferenceSession a(*rollout->store);
+  serve::InferenceSession b(*direct_model->store);
 
   util::Pcg32 rng(0xd17a);
-  nn::Tensor x({4, rollout->in_features});
+  tensor::Tensor x({4, rollout->in_features});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>(rng.normal(0.0, 1.0));
   }

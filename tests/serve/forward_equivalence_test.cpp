@@ -87,9 +87,9 @@ std::vector<std::shared_ptr<const ServedLayer>> chain_of(
   return chain;
 }
 
-nn::Tensor random_batch(std::int64_t rows, std::int64_t cols,
+tensor::Tensor random_batch(std::int64_t rows, std::int64_t cols,
                         std::uint64_t seed) {
-  nn::Tensor x({rows, cols});
+  tensor::Tensor x({rows, cols});
   util::Pcg32 rng(seed);
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>(rng.normal(0.0, 1.0));
@@ -97,7 +97,7 @@ nn::Tensor random_batch(std::int64_t rows, std::int64_t cols,
   return x;
 }
 
-void expect_bitwise_equal(const nn::Tensor& a, const nn::Tensor& b,
+void expect_bitwise_equal(const tensor::Tensor& a, const tensor::Tensor& b,
                           const char* what) {
   ASSERT_EQ(a.numel(), b.numel()) << what;
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(),
@@ -106,7 +106,7 @@ void expect_bitwise_equal(const nn::Tensor& a, const nn::Tensor& b,
       << what;
 }
 
-void expect_close(const nn::Tensor& a, const nn::Tensor& b, double tol,
+void expect_close(const tensor::Tensor& a, const tensor::Tensor& b, double tol,
                   const char* what) {
   ASSERT_EQ(a.numel(), b.numel()) << what;
   for (std::int64_t i = 0; i < a.numel(); ++i) {
@@ -235,10 +235,8 @@ TEST(ForwardEquivalence, SessionMatchesDenseWalkAtEveryBatchSize) {
     auto bytes = dc_container(c, /*with_bias=*/true);
     ModelStore dense_store(bytes);  // plain f32 decode, generic walk
     ModelStore cb_store(bytes, csr_options(true));
-    auto dense_net = make_fc_network(dense_store.reader());
-    InferenceSession dense_session(dense_store, dense_net);
-    auto cb_net = make_fc_network(cb_store.reader());
-    InferenceSession cb_session(cb_store, cb_net);  // sparse NOT opted in
+    InferenceSession dense_session(dense_store);
+    InferenceSession cb_session(cb_store);  // sparse NOT opted in
     for (std::int64_t rows : kBatchSizes) {
       auto x = random_batch(rows, c.dims[0],
                             c.seed + 100 + static_cast<std::uint64_t>(rows));
@@ -259,8 +257,7 @@ TEST(ForwardEquivalence, SchedulerBatchedPathMatchesReferenceSession) {
   auto bytes = dc_container(c, /*with_bias=*/true);
 
   ModelStore ref_store(bytes);
-  auto ref_net = make_fc_network(ref_store.reader());
-  InferenceSession ref_session(ref_store, ref_net);
+  InferenceSession ref_session(ref_store);
 
   server::ModelRepository repo(64ull << 20);
   repo.load("dc", bytes);

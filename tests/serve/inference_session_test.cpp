@@ -1,6 +1,6 @@
 // InferenceSession: ModelStore-backed forward passes — lazy layer install,
-// bit-identical results vs. an eagerly decoded network, and zero codec work
-// once warm.
+// bit-identical results vs. an eagerly decoded network, zero codec work once
+// warm, and the checks that guard the chain it serves.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -91,8 +91,7 @@ TEST(InferenceSession, MatchesEagerlyDecodedNetworkBitExactly) {
 TEST(InferenceSession, ConstructionDecodesNothing) {
   ServeFixture f;
   ModelStore store(f.model.bytes);
-  auto net = ServeFixture::make_net("lazy");
-  InferenceSession session(store, net);
+  InferenceSession session(store);
   // Layers decode when a request reaches them, not when the session opens.
   EXPECT_EQ(store.stats().lookups(), 0u);
   EXPECT_EQ(session.stats().layer_installs, 0u);
@@ -103,15 +102,14 @@ TEST(InferenceSession, ConstructionDecodesNothing) {
 TEST(InferenceSession, WarmRequestsDoZeroCodecWork) {
   ServeFixture f;
   ModelStore store(f.model.bytes);
-  auto net = ServeFixture::make_net("warm");
-  InferenceSession session(store, net);
+  InferenceSession session(store);
 
   session.infer(ServeFixture::make_batch(4, 11));  // cold: decodes all three
   store.reset_stats();
   for (int i = 0; i < 5; ++i) {
     session.infer(ServeFixture::make_batch(4, 20u + i));
   }
-  // Warm steady state: the session holds its bindings, so it does not even
+  // Warm steady state: the session holds its pins, so it does not even
   // consult the store, let alone run a codec.
   auto stats = store.stats();
   EXPECT_EQ(stats.lookups(), 0u);
@@ -122,13 +120,11 @@ TEST(InferenceSession, WarmRequestsDoZeroCodecWork) {
 TEST(InferenceSession, SecondSessionHitsWarmCache) {
   ServeFixture f;
   ModelStore store(f.model.bytes);
-  auto net_a = ServeFixture::make_net("a");
-  InferenceSession first(store, net_a);
+  InferenceSession first(store);
   first.infer(ServeFixture::make_batch(2, 31));
 
   store.reset_stats();
-  auto net_b = ServeFixture::make_net("b");
-  InferenceSession second(store, net_b);
+  InferenceSession second(store);
   second.infer(ServeFixture::make_batch(2, 32));
   auto stats = store.stats();
   EXPECT_EQ(stats.misses, 0u);
@@ -140,8 +136,7 @@ TEST(InferenceSession, PinnedLayersSurviveCacheEviction) {
   ModelStoreOptions opts;
   opts.cache_budget_bytes = 0;  // every decode is immediately evicted
   ModelStore store(f.model.bytes, opts);
-  auto net = ServeFixture::make_net("evicted");
-  InferenceSession session(store, net);
+  InferenceSession session(store);
 
   auto reference = ServeFixture::make_net("reference");
   core::load_compressed_model(f.model.bytes, reference);
@@ -154,42 +149,52 @@ TEST(InferenceSession, PinnedLayersSurviveCacheEviction) {
       ASSERT_EQ(got[i], expect[i]);
     }
   }
-  // Nothing retained by the cache, yet the session's pins kept every bound
-  // span alive and each layer decoded only once.
+  // Nothing retained by the cache, yet the session's pins kept every layer
+  // alive and each layer decoded only once.
   EXPECT_EQ(store.stats().cached_layers, 0u);
   EXPECT_EQ(store.stats().misses, 3u);
 }
 
-TEST(InferenceSession, LayersOutsideContainerKeepTheirOwnWeights) {
+TEST(InferenceSession, NetworkOverloadAcceptsOnlyTheContainerChain) {
   ServeFixture f;
   ModelStore store(f.model.bytes);
-  nn::Network net("mixed");
-  net.add<nn::Dense>(32, 24)->set_name("fc6");
-  net.add<nn::ReLU>();
-  net.add<nn::Dense>(24, 16)->set_name("fc7");
-  net.add<nn::ReLU>();
-  auto* head = net.add<nn::Dense>(16, 4);
-  head->set_name("head");  // not in the container
-  head->weight().fill(0.5f);
-  head->bias().fill(-0.25f);
+  auto exact = ServeFixture::make_net("exact");
+  EXPECT_NO_THROW(InferenceSession(store, exact));
 
-  InferenceSession session(store, net);
-  auto out = session.infer(ServeFixture::make_batch(2, 51));
-  EXPECT_EQ(session.stats().layer_installs, 2u);  // fc6, fc7 only
-  EXPECT_FALSE(head->has_bound_weights());
-  EXPECT_EQ(out.dim(1), 4);
+  // A head the container does not cover: the session serves the container's
+  // layers only, so it cannot honour this network.
+  nn::Network head_net("head");
+  head_net.add<nn::Dense>(32, 24)->set_name("fc6");
+  head_net.add<nn::ReLU>();
+  head_net.add<nn::Dense>(24, 16)->set_name("fc7");
+  head_net.add<nn::ReLU>();
+  head_net.add<nn::Dense>(16, 4)->set_name("head");
+  EXPECT_THROW(InferenceSession(store, head_net), std::invalid_argument);
+
+  // A Flatten in front (a training net): callers reshape the batch instead.
+  nn::Network flat("flatten");
+  flat.add<nn::Flatten>();
+  flat.add<nn::Dense>(32, 24)->set_name("fc6");
+  flat.add<nn::ReLU>();
+  flat.add<nn::Dense>(24, 16)->set_name("fc7");
+  flat.add<nn::ReLU>();
+  flat.add<nn::Dense>(16, 4)->set_name("fc8");
+  EXPECT_THROW(InferenceSession(store, flat), std::invalid_argument);
+
+  // Missing ReLU between two container layers.
+  nn::Network linear("linear");
+  linear.add<nn::Dense>(32, 24)->set_name("fc6");
+  linear.add<nn::Dense>(24, 16)->set_name("fc7");
+  linear.add<nn::Dense>(16, 4)->set_name("fc8");
+  EXPECT_THROW(InferenceSession(store, linear), std::invalid_argument);
 }
 
 TEST(InferenceSession, ReleaseLayersUnbindsAndRefetches) {
   ServeFixture f;
   ModelStore store(f.model.bytes);
-  auto net = ServeFixture::make_net("release");
-  InferenceSession session(store, net);
+  InferenceSession session(store);
   session.infer(ServeFixture::make_batch(2, 61));
   session.release_layers();
-  for (auto* d : net.dense_layers()) {
-    EXPECT_FALSE(d->has_bound_weights()) << d->name();
-  }
   store.reset_stats();
   session.infer(ServeFixture::make_batch(2, 62));
   EXPECT_EQ(store.stats().lookups(), 3u);  // re-fetched (cache hits)
@@ -204,23 +209,62 @@ TEST(InferenceSession, ShapeMismatchIsRejectedAtConstruction) {
   EXPECT_THROW(InferenceSession(store, net), std::invalid_argument);
 }
 
-TEST(InferenceSession, DestructorUnbindsNetworkForTrainingReuse) {
+TEST(InferenceSession, NetworkOverloadNeverReadsTheNetsWeights) {
   ServeFixture f;
   ModelStore store(f.model.bytes);
-  auto net = ServeFixture::make_net("reuse");
-  {
-    InferenceSession session(store, net);
-    session.infer(ServeFixture::make_batch(2, 71));
-    auto* fc6 = net.find_dense("fc6");
-    EXPECT_TRUE(fc6->has_bound_weights());
-    // While bound, the layer refuses training.
-    auto x = ServeFixture::make_batch(2, 72);
-    auto y = fc6->forward(x, /*train=*/true);
-    EXPECT_THROW(fc6->backward(y), std::logic_error);
-  }
+  auto net = ServeFixture::make_net("untouched");
   for (auto* d : net.dense_layers()) {
-    EXPECT_FALSE(d->has_bound_weights()) << d->name();
+    d->weight().fill(0.5f);
+    d->bias().fill(-0.25f);
   }
+  InferenceSession with_net(store, net);
+  InferenceSession plain(store);
+  auto batch = ServeFixture::make_batch(3, 71);
+  auto got = with_net.infer(batch);
+  auto expect = plain.infer(batch);
+  ASSERT_EQ(got.numel(), expect.numel());
+  for (std::int64_t i = 0; i < got.numel(); ++i) {
+    ASSERT_EQ(got[i], expect[i]) << "logit " << i;
+  }
+  // The net keeps its own weights and still trains.
+  for (auto* d : net.dense_layers()) {
+    EXPECT_EQ(d->weight()[0], 0.5f) << d->name();
+  }
+  auto y = net.forward(batch, /*train=*/true);
+  EXPECT_NO_THROW(net.backward(y));
+}
+
+TEST(InferenceSession, BadInputShapeThrows) {
+  ServeFixture f;
+  ModelStore store(f.model.bytes);
+  InferenceSession session(store);
+  EXPECT_THROW(session.infer(nn::Tensor({2, 31})), std::invalid_argument);
+  EXPECT_THROW(session.infer(nn::Tensor({2, 1, 4, 8})), std::invalid_argument);
+  session.enable_sparse_forward(true);
+  EXPECT_THROW(session.infer(nn::Tensor({16, 33})), std::invalid_argument);
+  EXPECT_EQ(session.stats().requests, 0u);
+}
+
+TEST(InferenceSession, NonChainingContainerIsRejectedAtConstruction) {
+  ServeFixture f;
+  // fc6 emits 24 features, fc8 takes 16.
+  auto broken = core::encode_model({f.layers[0], f.layers[2]}, {},
+                                   core::ContainerOptions{});
+  ModelStore store(broken.bytes);
+  EXPECT_THROW(check_fc_chain(store.reader()), std::invalid_argument);
+  EXPECT_THROW(InferenceSession{store}, std::invalid_argument);
+  EXPECT_THROW(make_fc_network(store.reader()), std::invalid_argument);
+}
+
+TEST(InferenceSession, WrongLengthBiasIsRejectedWhenTheLayerIsFetched) {
+  ServeFixture f;
+  auto biases = f.biases;
+  biases["fc7"].resize(5);  // fc7 has 16 rows
+  auto model = core::encode_model(f.layers, {}, {}, biases);
+  ModelStore store(model.bytes);
+  InferenceSession session(store);
+  EXPECT_THROW(session.infer(ServeFixture::make_batch(2, 81)),
+               std::invalid_argument);
 }
 
 }  // namespace

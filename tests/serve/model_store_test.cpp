@@ -323,6 +323,47 @@ TEST(ModelStore, FormBytesPartitionCachedBytes) {
             cstats.cached_bytes);
 }
 
+// bytes() is what the cache budget charges, so it must count the heap the
+// entry really holds: vector capacities. The CSR arrays are reserved from
+// the decoded entry count, never grown past it by push_back doubling.
+TEST(ModelStore, BytesCountsCapacityForBothCsrForms) {
+  auto layers = some_layers(1);
+  auto capacity_bytes = [](const ServedLayer& l) {
+    return l.dense.capacity() * sizeof(float) +
+           l.bias.capacity() * sizeof(float) +
+           l.csr_rowptr.capacity() * sizeof(std::uint32_t) +
+           l.csr_col.capacity() * sizeof(std::uint32_t) +
+           l.csr_val.capacity() * sizeof(float) +
+           l.codebook.capacity() * sizeof(float) + l.csr_id8.capacity() +
+           l.csr_id16.capacity() * sizeof(std::uint16_t) +
+           l.sparse.data.capacity() * sizeof(float) +
+           l.sparse.index.capacity() + l.name.size();
+  };
+
+  ModelStoreOptions csr_opts;
+  csr_opts.build_csr = true;
+  const auto sz_bytes = encode(layers);
+  ModelStore csr_store(sz_bytes, csr_opts);
+  auto csr = csr_store.get("fc6");
+  ASSERT_EQ(csr->form, ServingForm::kSparseCsr);
+  EXPECT_EQ(csr->bytes(), capacity_bytes(*csr));
+  const auto sz_entries = core::decode_model(sz_bytes).layers[0].data.size();
+  EXPECT_LE(csr->csr_col.capacity(), sz_entries);
+  EXPECT_LE(csr->csr_val.capacity(), sz_entries);
+
+  ModelStoreOptions cb_opts;
+  cb_opts.native_form = true;
+  const auto dc_bytes = encode_dc(layers);
+  ModelStore cb_store(dc_bytes, cb_opts);
+  auto cb = cb_store.get("fc6");
+  ASSERT_EQ(cb->form, ServingForm::kCodebookCsr);
+  EXPECT_EQ(cb->bytes(), capacity_bytes(*cb));
+  const auto dc_entries = core::decode_model(dc_bytes).layers[0].data.size();
+  EXPECT_LE(cb->csr_col.capacity(), dc_entries);
+  EXPECT_LE(cb->csr_id8.capacity(), dc_entries);
+  EXPECT_EQ(cb_store.stats().cached_bytes, cb->bytes());
+}
+
 TEST(ModelStore, FormBytesTrackEvictionAndReset) {
   auto layers = some_layers(3);
   std::size_t per_layer = 0;

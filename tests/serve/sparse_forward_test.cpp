@@ -35,9 +35,9 @@ std::vector<std::uint8_t> chained_container(bool with_bias) {
   return core::encode_model(layers, {}, {}, biases).bytes;
 }
 
-nn::Tensor random_batch(std::int64_t rows, std::int64_t cols,
+tensor::Tensor random_batch(std::int64_t rows, std::int64_t cols,
                         std::uint64_t seed) {
-  nn::Tensor x({rows, cols});
+  tensor::Tensor x({rows, cols});
   util::Pcg32 rng(seed);
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>(rng.normal(0.0, 1.0));
@@ -75,8 +75,7 @@ TEST(SparseForward, MatchesGenericPathAcrossBatchSizes) {
   std::vector<std::shared_ptr<const ServedLayer>> chain = {
       store.get("fc1"), store.get("fc2"), store.get("fc3")};
 
-  auto net = make_fc_network(store.reader());
-  InferenceSession session(store, net);  // generic path (sparse off)
+  InferenceSession session(store);  // dense walk (sparse off)
 
   for (std::int64_t rows : {1, 2, 3, 4, 7, 8, 9, 16, 33}) {
     auto x = random_batch(rows, 32, 400u + static_cast<std::uint64_t>(rows));
@@ -94,8 +93,7 @@ TEST(SparseForward, HandlesMissingBias) {
   ModelStore store(chained_container(false), with_csr());
   std::vector<std::shared_ptr<const ServedLayer>> chain = {
       store.get("fc1"), store.get("fc2"), store.get("fc3")};
-  auto net = make_fc_network(store.reader());
-  InferenceSession session(store, net);
+  InferenceSession session(store);
   auto x = random_batch(6, 32, 77);
   auto expect = session.infer(x);
   auto got = sparse_fc_forward(chain, x);
@@ -123,9 +121,8 @@ TEST(SparseForward, RejectsBadInputs) {
   EXPECT_FALSE(no_csr[0]->has_csr());
   EXPECT_THROW(sparse_fc_forward(no_csr, random_batch(4, 32, 1)),
                std::invalid_argument);
-  auto net = make_fc_network(dense_store.reader());
-  InferenceSession session(dense_store, net);
-  session.enable_sparse_forward(true);  // no CSR -> generic walk, still OK
+  InferenceSession session(dense_store);
+  session.enable_sparse_forward(true);  // no CSR -> dense walk, still OK
   auto y = session.infer(random_batch(8, 32, 2));
   EXPECT_EQ(y.dim(1), 5);
 }
@@ -133,10 +130,8 @@ TEST(SparseForward, RejectsBadInputs) {
 TEST(SparseForward, SessionOptInUsesSparsePathForLargeBatches) {
   auto bytes = chained_container(true);
   ModelStore store(bytes, with_csr());
-  auto net_a = make_fc_network(store.reader());
-  InferenceSession dense_session(store, net_a);
-  auto net_b = make_fc_network(store.reader());
-  InferenceSession sparse_session(store, net_b);
+  InferenceSession dense_session(store);
+  InferenceSession sparse_session(store);
   sparse_session.enable_sparse_forward(true);
   EXPECT_FALSE(dense_session.sparse_forward_enabled());
   EXPECT_TRUE(sparse_session.sparse_forward_enabled());

@@ -162,9 +162,8 @@ TEST(ModelRepository, HitRefreshesGlobalRecency) {
 TEST(ModelRepository, ServesThroughInferenceSession) {
   ModelRepository repo;
   auto m = repo.load("m", tiny_container(5));
-  nn::Network net = m->make_network();
-  serve::InferenceSession session(*m->store, net);
-  nn::Tensor x({4, m->in_features});
+  serve::InferenceSession session(*m->store);
+  tensor::Tensor x({4, m->in_features});
   x.fill(0.25f);
   auto y = session.infer(x);
   EXPECT_EQ(y.dim(0), 4);

@@ -6,9 +6,11 @@
 
 #include <atomic>
 #include <future>
+#include <malloc.h>
 #include <thread>
 #include <vector>
 
+#include "data/weight_synthesis.h"
 #include "serve/inference_session.h"
 #include "server/metrics.h"
 #include "tests/server/test_containers.h"
@@ -60,9 +62,8 @@ TEST(RequestScheduler, MatchesDirectSessionOutput) {
 
   // Oracle: a private session over the same container.
   serve::ModelStore store(bytes);
-  nn::Network net = serve::make_fc_network(store.reader());
-  serve::InferenceSession session(store, net);
-  nn::Tensor x({1, 32});
+  serve::InferenceSession session(store);
+  tensor::Tensor x({1, 32});
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     x[i] = 0.01f * static_cast<float>(i);
   }
@@ -283,6 +284,64 @@ TEST(RequestScheduler, QueueDepthReporting) {
   EXPECT_EQ(sched.queue_depth("ghost"), 0u);
   sched.infer("m", one_row(32));
   EXPECT_EQ(sched.queue_depth("m"), 0u);  // drained
+}
+
+// ASan and TSan replace malloc, so glibc's mallinfo2 does not see their heap.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define DEEPSZ_TEST_FOREIGN_MALLOC 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define DEEPSZ_TEST_FOREIGN_MALLOC 1
+#endif
+#endif
+
+// Worker sessions serve the store's decoded layers directly, so serving a
+// model must grow the heap by about what the store caches — not by a
+// per-worker copy of the network's weight and gradient tensors.
+TEST(RequestScheduler, WorkersAddNoHeapBeyondTheDecodedLayers) {
+#if defined(DEEPSZ_TEST_FOREIGN_MALLOC)
+  GTEST_SKIP() << "sanitizer allocators bypass glibc malloc, so mallinfo2 "
+                  "cannot measure this process's heap";
+#elif !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc's mallinfo2";
+#else
+  // Live heap bytes: small chunks show in uordblks, large ones (a dense
+  // layer matrix) are mmapped and show only in hblkhd.
+  auto heap_in_use = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  // LeNet-300-shaped, ~10% of the weights kept.
+  const std::vector<std::int64_t> dims = {784, 300, 100, 10};
+  std::vector<sparse::PrunedLayer> layers;
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
+    layers.push_back(data::synthesize_pruned_layer(
+        "fc" + std::to_string(i + 1), dims[i + 1], dims[i], 0.1, 300 + i));
+  }
+  auto bytes = core::encode_model(layers, {}, core::ContainerOptions{}).bytes;
+
+  ModelRepository repo;
+  auto model = repo.load("lenet", std::move(bytes));
+  SchedulerOptions opts;
+  opts.workers_per_model = 2;
+  RequestScheduler sched(repo, opts);
+
+  const std::size_t before = heap_in_use();
+  for (std::int64_t rows : {std::int64_t{1}, std::int64_t{16}}) {
+    InferRequest req;
+    req.rows = rows;
+    req.input.assign(static_cast<std::size_t>(rows * dims.front()), 0.5f);
+    ASSERT_EQ(sched.infer("lenet", std::move(req)).status, InferStatus::kOk);
+  }
+  const std::size_t after = heap_in_use();
+
+  const std::size_t cached = model->store->stats().cached_bytes;
+  ASSERT_GT(cached, 0u);
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LE(grown, 2 * cached + (std::size_t{512} << 10))
+      << "heap grew " << grown << " bytes serving a model whose decoded "
+      << "layers hold " << cached << " bytes";
+#endif
 }
 
 }  // namespace

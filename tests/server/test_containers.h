@@ -1,5 +1,5 @@
 // Shared fixtures for the server tests: small servable containers built
-// in-memory (chainable fc stacks, so make_fc_network accepts them).
+// in-memory (chainable fc stacks, so check_fc_chain accepts them).
 #pragma once
 
 #include <cstdint>

@@ -840,7 +840,6 @@ int run(int argc, char** argv) {
     sopts.build_csr = native;
     sopts.native_form = native;
     deepsz::serve::ModelStore store(read_file(argv[2]), sopts);
-    auto net = deepsz::serve::make_fc_network(store.reader());
     const auto in_features = store.reader().entry(std::size_t{0}).cols;
 
     deepsz::util::Pcg32 rng(0xbe9c);
@@ -853,14 +852,14 @@ int run(int argc, char** argv) {
     };
 
     // One fresh session per request, as a request-scoped server would: every
-    // request re-binds through the store, so the warm numbers measure the
-    // cache, not a session that privately pinned the whole model.
+    // request fetches its layers from the store again, so the warm numbers
+    // measure the cache, not a session that privately pinned the whole model.
     std::vector<double> latencies;
     latencies.reserve(static_cast<std::size_t>(requests));
     for (int r = 0; r < requests; ++r) {
       if (r == 1) store.reset_stats();  // split cold stats from warm stats
       auto x = make_batch();
-      deepsz::serve::InferenceSession session(store, net);
+      deepsz::serve::InferenceSession session(store);
       timer.reset();
       auto y = session.infer(x);
       latencies.push_back(timer.millis());
