@@ -11,7 +11,6 @@
 //     DeepSZ; codebook lookup + CSR for Deep Compression; full-matrix
 //     Bloomier queries for Weightless (the O(n_dense) cost the paper
 //     highlights). Paper-scale layers.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -23,7 +22,6 @@
 #include "core/model_codec.h"
 #include "core/optimizer.h"
 #include "core/pruner.h"
-#include "data/weight_synthesis.h"
 #include "nn/sgd.h"
 #include "util/threadpool.h"
 #include "util/timer.h"
@@ -202,54 +200,5 @@ int main() {
                      16);
   }
 
-  bench::print_title(
-      "SZ stream v1 vs v2: cold decode of one large fc layer",
-      "v1 is one monolithic serial pass; v2 chunks (64 Ki floats) carry "
-      "their own Huffman table/outliers and decode independently across "
-      "ThreadPool::global(). Ratio delta must stay within 2% of v1");
-  std::printf("hardware threads: %zu (DEEPSZ_THREADS overrides)\n\n",
-              util::ThreadPool::global().size());
-  {
-    // A VGG-fc6-shaped pruned data array: 4096 x 8192 dense at 12.5%
-    // density keeps ~4.2M values, so the error-bounded stream alone holds
-    // >= 4M parameters — the single-layer cold-start case the serving
-    // daemon pays on every cache miss.
-    auto layer = data::synthesize_pruned_layer("fc6", 4096, 8192, 0.125, 11);
-    std::printf("layer: %lld x %lld dense, %zu stored values\n\n",
-                static_cast<long long>(layer.rows),
-                static_cast<long long>(layer.cols), layer.data.size());
-
-    bench::print_row({"stream", "bytes", "ratio", "encode ms",
-                      "cold decode ms"},
-                     15);
-    double dec_ms[2] = {0.0, 0.0};
-    double ratio[2] = {0.0, 0.0};
-    for (int v = 1; v <= 2; ++v) {
-      sz::SzParams params;
-      params.stream_version = static_cast<std::uint32_t>(v);
-      util::WallTimer timer;
-      auto stream = sz::compress(layer.data, params);
-      const double enc_ms = timer.millis();
-      double best = 1e300;  // best of three: cold decode, no warm cache help
-      for (int rep = 0; rep < 3; ++rep) {
-        timer.reset();
-        auto back = sz::decompress(stream);
-        best = std::min(best, timer.millis());
-        if (back.size() != layer.data.size()) return 1;
-      }
-      dec_ms[v - 1] = best;
-      ratio[v - 1] = static_cast<double>(layer.data.size() * sizeof(float)) /
-                     static_cast<double>(stream.size());
-      bench::print_row({"sz-v" + std::to_string(v),
-                        std::to_string(stream.size()),
-                        bench::fmt(ratio[v - 1], 3), bench::fmt(enc_ms, 1),
-                        bench::fmt(best, 1)},
-                       15);
-    }
-    std::printf(
-        "\nv2 cold-decode speedup: %.2fx, compression-ratio delta: %.2f%% "
-        "(acceptance: >= 2x on 4+ cores, delta < 2%%)\n",
-        dec_ms[0] / dec_ms[1], 100.0 * (ratio[0] - ratio[1]) / ratio[0]);
-  }
   return 0;
 }

@@ -20,7 +20,6 @@
 #include "serve/inference_session.h"
 #include "serve/model_store.h"
 #include "util/rng.h"
-#include "util/threadpool.h"
 #include "util/timer.h"
 
 using namespace deepsz;
@@ -132,45 +131,6 @@ int main() {
   std::printf(
       "\nwith a fitting budget, warm requests do zero codec work; the cold\n"
       "request pays only the reached layers, overlapped with their compute.\n");
-
-  bench::print_title(
-      "Cold-miss decode: sz stream v1 vs v2 through ModelStore",
-      "one >= 4M-parameter layer; the cold get() pays the full codec cost. "
-      "v2 fans the layer's chunks across ThreadPool::global()");
-  std::printf("hardware threads: %zu (DEEPSZ_THREADS overrides)\n\n",
-              util::ThreadPool::global().size());
-  {
-    // Same single-large-layer shape as the serving daemon's worst cache
-    // miss: 2048 x 8192 dense at 25% density keeps ~4.2M values.
-    std::vector<sparse::PrunedLayer> big;
-    big.push_back(data::synthesize_pruned_layer("fc6", 2048, 8192, 0.25, 9));
-    std::printf("layer: %zu stored values\n\n", big[0].data.size());
-
-    bench::print_row({"data codec", "payload", "cold get ms", "lossless ms",
-                      "eb block ms", "reconstr ms"},
-                     14);
-    double cold_ms[2] = {0.0, 0.0};
-    const char* specs[2] = {"sz:stream=1", "sz"};
-    for (int v = 0; v < 2; ++v) {
-      core::ContainerOptions copts;
-      copts.data_codec = specs[v];
-      auto encoded = core::encode_model(big, {}, copts);
-      serve::ModelStore store(encoded.bytes);
-      util::WallTimer timer;
-      auto layer = store.get("fc6");
-      cold_ms[v] = timer.millis();
-      (void)layer;
-      const auto stats = store.stats();
-      bench::print_row({specs[v],
-                        std::to_string(encoded.compressed_payload_bytes()),
-                        bench::fmt(cold_ms[v], 1),
-                        bench::fmt(stats.lossless_ms, 1),
-                        bench::fmt(stats.eb_decode_ms, 1),
-                        bench::fmt(stats.reconstruct_ms, 1)},
-                       14);
-    }
-    std::printf("\nv2 cold-miss speedup: %.2fx\n", cold_ms[0] / cold_ms[1]);
-  }
 
   bench::print_title(
       "Compressed-domain serving: dc container dense vs codebook-CSR",

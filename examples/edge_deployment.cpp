@@ -8,7 +8,8 @@
 // fp32 fc-layers or the CSR-pruned network.
 #include <cstdio>
 
-#include "core/pipeline.h"
+#include "compress/registry.h"
+#include "compress/session.h"
 #include "modelzoo/paper_specs.h"
 #include "modelzoo/pretrained.h"
 #include "util/timer.h"
@@ -29,17 +30,22 @@ int main() {
   auto m = modelzoo::pretrained("alexnet");
   const auto& spec = modelzoo::paper_spec("alexnet");
 
-  core::DeepSzOptions opts;
-  for (const auto& fc : spec.fc) opts.keep_ratio[fc.layer] = fc.keep_ratio;
-  opts.retrain_epochs = 2;
-  opts.expected_acc_loss = 0.004;
-  // Index arrays ride any registered lossless codec; Zstandard-class is
-  // Figure 4's winner and the default ("gzip", "blosc:typesize=1", ... also
-  // work — see `deepsz_tool codecs`).
-  opts.index_codec = "zstd";
+  compress::CompressSpec cspec;
+  for (const auto& fc : spec.fc) {
+    cspec.prune.keep_ratio[fc.layer] = fc.keep_ratio;
+  }
+  cspec.prune.retrain_epochs = 2;
+  cspec.expected_acc_loss = 0.004;
+  // Index arrays ride any registered lossless codec; Zstandard-class is the
+  // deepsz strategy's default ("gzip", "huffman", "blosc:typesize=1", ...
+  // also work — see `deepsz_tool codecs`).
+  cspec.index_codec = "zstd";
 
-  auto report = core::run_deepsz(m.net, m.train.images, m.train.labels,
-                                 m.test.images, m.test.labels, opts);
+  compress::CompressionSession session(
+      compress::CompressorRegistry::instance().make("deepsz"), m.net,
+      m.train.images, m.train.labels, m.test.images, m.test.labels,
+      std::move(cspec));
+  auto report = session.run();
 
   std::printf("AlexNet-mini on synthetic ImageNet-20\n");
   std::printf("cloud-side encode took %.1f s (no retraining needed)\n\n",

@@ -153,9 +153,11 @@ class SzCodec : public FloatCodec {
         opts.get_u64("block_size", sz::SzParams{}.block_size));
     params_.predictor = sz_predictor(opts.get("predictor", "adaptive"));
     params_.backend = byte_codec_id(opts.get("backend", "zstd"));
-    params_.stream_version = static_cast<std::uint32_t>(
-        opts.get_u64("stream", sz::SzParams{}.stream_version));
-    if (params_.stream_version != 1 && params_.stream_version != 2) {
+    // Containers record the spec their streams were written with, so a
+    // reader must still build "sz:stream=1" to decode v1 streams; only
+    // encoding under it is refused.
+    stream_ = opts.get_u64("stream", 2);
+    if (stream_ != 1 && stream_ != 2) {
       throw BadOptions("sz: stream must be 1 or 2");
     }
     params_.chunk_size = static_cast<std::uint32_t>(
@@ -171,6 +173,9 @@ class SzCodec : public FloatCodec {
 
   std::vector<std::uint8_t> encode(std::span<const float> data,
                                    const FloatParams& p) const override {
+    if (stream_ == 1) {
+      throw BadOptions("sz: stream=1 is decode-only; encode writes stream 2");
+    }
     sz::SzParams params = params_;
     params.error_bound = p.tolerance;
     return sz::compress(data, params);
@@ -183,6 +188,7 @@ class SzCodec : public FloatCodec {
 
  private:
   sz::SzParams params_;
+  std::uint64_t stream_ = 2;
 };
 
 /// f32: verbatim little-endian fp32 floats. The lossless end of the
@@ -333,7 +339,7 @@ void register_builtins(CodecRegistry& reg) {
     info.options_help =
         "mode=abs|rel|psnr,quant_bins=<n>,block_size=<n>,"
         "predictor=adaptive|lorenzo1|lorenzo2|regression,"
-        "backend=store|gzip|zstd|blosc,stream=1|2,chunk_size=<n>";
+        "backend=store|gzip|zstd|blosc,stream=2|1(decode-only),chunk_size=<n>";
     reg.register_float(info, [](const Options& opts) {
       return std::make_shared<SzCodec>(opts);
     });

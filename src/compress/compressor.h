@@ -181,7 +181,7 @@ class ModelCompressor {
 };
 
 /// End-to-end result of a session run (the session keeps the live state;
-/// this is the caller-facing snapshot the old DeepSzReport maps onto).
+/// this is the caller-facing snapshot the evaluation tables read).
 struct CompressReport {
   std::string strategy;  // registry name of the strategy that ran
   nn::Accuracy acc_original;

@@ -24,9 +24,9 @@ namespace deepsz::compress {
 
 class CompressionSession {
  public:
-  /// `net` is modified in place across the stages exactly as run_deepsz did:
-  /// pruned and retrained by Prune, temporarily perturbed by Assess/Optimize
-  /// (restored), and finally left holding the decoded weights by Encode.
+  /// `net` is modified in place across the stages: pruned and retrained by
+  /// Prune, temporarily perturbed by Assess/Optimize (restored), and finally
+  /// left holding the decoded weights by Encode.
   /// All references must outlive the session.
   CompressionSession(std::shared_ptr<ModelCompressor> strategy,
                      nn::Network& net, const nn::Tensor& train_images,

@@ -149,31 +149,66 @@ void HuffmanEncoder::write_table(util::BitWriter& bw) const {
 
 void HuffmanDecoder::read_table(util::BitReader& br) {
   auto alphabet = static_cast<std::size_t>(br.read_bits(32));
-  auto n_present = static_cast<std::uint32_t>(br.read_bits(32));
+  auto n_present = static_cast<std::size_t>(br.read_bits(32));
   if (alphabet > (1u << 26)) {
     throw std::runtime_error("HuffmanDecoder: implausible alphabet size");
   }
+  if (n_present > alphabet) {
+    throw std::runtime_error("HuffmanDecoder: more codes than symbols");
+  }
+  // Only the listed pairs are kept: a forged alphabet costs nothing until
+  // real table bits back it (reads past the end yield zero lengths, which
+  // are rejected).
   const int sym_bits = bit_width_for(alphabet);
-  std::vector<int> lengths(alphabet, 0);
-  for (std::uint32_t i = 0; i < n_present; ++i) {
-    auto sym = static_cast<std::size_t>(br.read_bits(sym_bits));
+  std::vector<SymbolLength> codes;
+  for (std::size_t i = 0; i < n_present; ++i) {
+    auto sym = static_cast<std::uint32_t>(br.read_bits(sym_bits));
     auto len = static_cast<int>(br.read_bits(5));
     if (sym >= alphabet || len == 0 || len > kMaxCodeLen) {
       throw std::runtime_error("HuffmanDecoder: corrupt code table");
     }
-    lengths[sym] = len;
+    codes.push_back({sym, len});
   }
-  init_from_lengths(lengths);
+  build(alphabet, std::move(codes));
 }
 
 void HuffmanDecoder::init_from_lengths(std::span<const int> lengths) {
-  alphabet_ = lengths.size();
-  max_len_ = 0;
-  for (int l : lengths) max_len_ = std::max(max_len_, l);
+  std::vector<SymbolLength> codes;
+  for (std::size_t s = 0; s < lengths.size(); ++s) {
+    if (lengths[s] > 0) {
+      codes.push_back({static_cast<std::uint32_t>(s), lengths[s]});
+    }
+  }
+  build(lengths.size(), std::move(codes));
+}
 
+void HuffmanDecoder::build(std::size_t alphabet,
+                           std::vector<SymbolLength> codes) {
+  // Canonical order is (length, symbol). Sorting by symbol first exposes
+  // repeats as neighbours; the stable sort by length then keeps symbol
+  // order within each length.
+  std::sort(codes.begin(), codes.end(),
+            [](const SymbolLength& a, const SymbolLength& b) {
+              return a.symbol < b.symbol;
+            });
+  for (std::size_t i = 1; i < codes.size(); ++i) {
+    if (codes[i].symbol == codes[i - 1].symbol) {
+      throw std::runtime_error("HuffmanDecoder: repeated symbol in table");
+    }
+  }
+  std::stable_sort(codes.begin(), codes.end(),
+                   [](const SymbolLength& a, const SymbolLength& b) {
+                     return a.length < b.length;
+                   });
+
+  alphabet_ = alphabet;
+  max_len_ = codes.empty() ? 0 : codes.back().length;
   count_.assign(max_len_ + 1, 0);
-  for (int l : lengths) {
-    if (l > 0) ++count_[l];
+  sorted_symbols_.clear();
+  sorted_symbols_.reserve(codes.size());
+  for (const auto& c : codes) {
+    ++count_[c.length];
+    sorted_symbols_.push_back(c.symbol);
   }
   // Same canonical recurrence as the encoder (count_[0] == 0, so
   // first_code_[1] == 0).
@@ -185,14 +220,6 @@ void HuffmanDecoder::init_from_lengths(std::span<const int> lengths) {
     first_code_[l] = code;
     offset_[l] = idx;
     idx += count_[l];
-  }
-  // Symbols sorted by (length, symbol).
-  sorted_symbols_.clear();
-  sorted_symbols_.reserve(alphabet_);
-  for (int l = 1; l <= max_len_; ++l) {
-    for (std::size_t s = 0; s < alphabet_; ++s) {
-      if (lengths[s] == l) sorted_symbols_.push_back(static_cast<std::uint32_t>(s));
-    }
   }
 }
 

@@ -52,7 +52,9 @@ class HuffmanEncoder {
 /// Decodes a canonical Huffman stream produced by HuffmanEncoder.
 class HuffmanDecoder {
  public:
-  /// Reads the code book serialized by HuffmanEncoder::write_table.
+  /// Reads the code book serialized by HuffmanEncoder::write_table. Throws
+  /// std::runtime_error on a corrupt table: more codes than symbols, a
+  /// repeated symbol, or an out-of-range symbol or length.
   void read_table(util::BitReader& br);
 
   /// Builds decoding structures directly from code lengths (for coders whose
@@ -65,6 +67,15 @@ class HuffmanDecoder {
   std::size_t alphabet_size() const { return alphabet_; }
 
  private:
+  struct SymbolLength {
+    std::uint32_t symbol;
+    int length;
+  };
+  /// Builds the canonical tables from the present symbols alone, in
+  /// O(n log n) of their count — never of the declared alphabet. Throws
+  /// std::runtime_error on a repeated symbol.
+  void build(std::size_t alphabet, std::vector<SymbolLength> codes);
+
   std::size_t alphabet_ = 0;
   int max_len_ = 0;
   // Canonical decoding tables indexed by code length.

@@ -32,8 +32,6 @@ std::uint64_t to_trace_ns(SteadyClock::time_point tp) {
   return ns_between(g_epoch, tp);
 }
 
-#ifndef DEEPSZ_NO_TRACING
-
 namespace {
 
 /// Truncating copy into a fixed label field; always NUL-terminates.
@@ -361,7 +359,5 @@ void TraceSpan::close() {
   }
   name_ = nullptr;
 }
-
-#endif  // DEEPSZ_NO_TRACING
 
 }  // namespace deepsz::obs

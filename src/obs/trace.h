@@ -7,11 +7,8 @@
 // every ring without stopping writers via per-slot sequence validation
 // (a seqlock: a torn slot fails validation and is skipped, never returned).
 //
-// Two cost regimes:
-//   - runtime-disabled (the default): every instrumentation point is ONE
-//     relaxed atomic load and a branch; no ring is touched, no label copied.
-//   - compiled out (-DDEEPSZ_NO_TRACING): TraceSpan and Tracer collapse to
-//     empty inline stubs; call sites compile to nothing.
+// Disabled at runtime (the default), every instrumentation point is ONE
+// relaxed atomic load and a branch; no ring is touched, no label copied.
 //
 // Alongside the rings, Tracer keeps per-(stage, model) latency histograms —
 // the aggregate view `/metrics` exports as deepsz_stage_ms{stage,model} —
@@ -67,15 +64,12 @@ struct StageTimes {
 };
 
 /// Nanoseconds since process start on the steady clock — the time base of
-/// every trace event. Available even with tracing compiled out (it also
-/// backs the /metrics uptime gauge).
+/// every trace event (it also backs the /metrics uptime gauge).
 std::uint64_t now_ns();
 
 /// A steady_clock time_point on the trace time base, for spans whose start
 /// was captured before the emitting code runs (queue waits).
 std::uint64_t to_trace_ns(std::chrono::steady_clock::time_point tp);
-
-#ifndef DEEPSZ_NO_TRACING
 
 class Tracer {
  public:
@@ -165,33 +159,5 @@ class TraceSpan {
   char stage_model_[kArgBytes] = {};
   bool stage_set_ = false;
 };
-
-#else  // DEEPSZ_NO_TRACING: every call site compiles to nothing.
-
-class Tracer {
- public:
-  static constexpr bool enabled() { return false; }
-  static void set_enabled(bool) {}
-  static void emit(const char*, const char*, std::string_view,
-                   std::string_view, std::uint64_t, std::uint64_t) {}
-  static void record_stage(std::string_view, std::string_view, double) {}
-  static TraceSnapshot snapshot(std::uint64_t = 0) { return {}; }
-  static std::uint64_t dropped_total() { return 0; }
-  static std::vector<StageTimes> stage_snapshot() { return {}; }
-  static void set_ring_capacity(std::size_t) {}
-  static void reset() {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*, const char* = "app") {}
-  static constexpr bool active() { return false; }
-  void set_detail(std::string_view) {}
-  void set_phase(std::string_view) {}
-  void set_stage(std::string_view) {}
-  void close() {}
-};
-
-#endif  // DEEPSZ_NO_TRACING
 
 }  // namespace deepsz::obs

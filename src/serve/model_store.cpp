@@ -190,7 +190,7 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_now(
   }
   core::DecodeTiming timing;
   auto sparse_layer = reader_.decode_layer(entry_index, &timing);
-  return make_served_dense(entry_index, std::move(sparse_layer), timing);
+  return make_served_dense(entry_index, sparse_layer, timing);
 }
 
 std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
@@ -248,16 +248,16 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
       timing.lossless_ms += apply_timing.lossless_ms;
       timing.sz_ms += apply_timing.sz_ms;
       timing.reconstruct_ms += apply_timing.reconstruct_ms;
-      return make_served_dense(entry_index, std::move(sparse_layer), timing);
+      return make_served_dense(entry_index, sparse_layer, timing);
     }
   }
 
   auto sparse_layer = reader_.decode_layer(entry_index, &timing);
-  return make_served_dense(entry_index, std::move(sparse_layer), timing);
+  return make_served_dense(entry_index, sparse_layer, timing);
 }
 
 std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
-    std::size_t entry_index, sparse::PrunedLayer sparse_layer,
+    std::size_t entry_index, const sparse::PrunedLayer& sparse_layer,
     core::DecodeTiming timing) {
   auto served = std::make_shared<ServedLayer>();
   util::WallTimer timer;
@@ -290,7 +290,6 @@ std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
   served->form = served->has_csr() ? ServingForm::kSparseCsr
                                    : ServingForm::kDenseF32;
   served->timing = timing;
-  if (options_.keep_sparse) served->sparse = std::move(sparse_layer);
   return served;
 }
 

@@ -8,31 +8,18 @@
 // constants, from the tool's output) only for a deliberate format change.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/model_codec.h"
 #include "serve/model_store.h"
+#include "tests/golden_fixture.h"
 #include "util/crc32.h"
 
 namespace deepsz::core {
 namespace {
 
-std::vector<std::uint8_t> read_fixture(const std::string& name) {
-  const std::string path = std::string(DEEPSZ_FIXTURE_DIR) + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    ADD_FAILURE() << "missing fixture " << path;
-    return {};
-  }
-  std::fseek(f, 0, SEEK_END);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
-  std::fclose(f);
-  return data;
-}
+using testing::read_fixture;
 
 /// CRC over the codebook-CSR arrays in the fixed order the fixture tool
 /// prints (rowptr, col, id8, id16, codebook) — keep in sync with

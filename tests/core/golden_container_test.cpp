@@ -3,41 +3,23 @@
 // wire format (or a codec's decode path) changed behavior for existing
 // files — that is a breaking release, not a refactor.
 //
-// The fixtures are written by tools/make_golden_fixtures.cpp; regenerate
-// them (and these constants, from the tool's output) only for a deliberate,
-// versioned format change.
+// Both fixtures are frozen artifacts: no current encoder reproduces them
+// (indexed_v3.dszc carries SZ stream-v1 data streams), so they are never
+// regenerated.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/model_codec.h"
+#include "tests/golden_fixture.h"
 #include "util/crc32.h"
 
 namespace deepsz::core {
 namespace {
 
-std::vector<std::uint8_t> read_fixture(const std::string& name) {
-  const std::string path = std::string(DEEPSZ_FIXTURE_DIR) + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    ADD_FAILURE() << "missing fixture " << path;
-    return {};
-  }
-  std::fseek(f, 0, SEEK_END);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
-  std::fclose(f);
-  return data;
-}
-
-std::uint32_t float_crc(const std::vector<float>& v) {
-  return util::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(v.data()),
-      v.size() * sizeof(float)));
-}
+using testing::float_crc;
+using testing::read_fixture;
 
 std::vector<float> expected_bias() {
   std::vector<float> bias(24);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "compress/registry.h"
+#include "compress/session.h"
 #include "core/accuracy.h"
 #include "data/weight_synthesis.h"
 #include "nn/init.h"
@@ -49,20 +51,28 @@ struct E2EFixture {
   }
 };
 
+/// Runs the four-step "deepsz" strategy over the fixture's network.
+compress::CompressReport compress_fixture(E2EFixture& f,
+                                          compress::CompressSpec spec) {
+  compress::CompressionSession session(
+      compress::CompressorRegistry::instance().make("deepsz"), f.net,
+      f.train_x, f.train_y, f.test_x, f.test_y, std::move(spec));
+  return session.run();
+}
+
 TEST(Pipeline, EndToEndExpectedAccuracyMode) {
   E2EFixture f;
-  DeepSzOptions opts;
-  opts.keep_ratio = {{"fc1", 0.3}, {"fc2", 0.3}, {"fc3", 0.5}};
-  opts.retrain_epochs = 3;
-  opts.expected_acc_loss = 0.02;
-  opts.assessment.coarse_grid = {1e-3, 1e-2, 1e-1};
+  compress::CompressSpec spec;
+  spec.prune.keep_ratio = {{"fc1", 0.3}, {"fc2", 0.3}, {"fc3", 0.5}};
+  spec.prune.retrain_epochs = 3;
+  spec.expected_acc_loss = 0.02;
+  spec.assessment.coarse_grid = {1e-3, 1e-2, 1e-1};
   // This fixture's weights are O(0.3), far larger than a trained ImageNet
   // network's; keep dW << W (the linearity precondition) by capping bounds
   // proportionally tighter than the paper's 0.1.
-  opts.assessment.max_eb = 0.05;
+  spec.assessment.max_eb = 0.05;
 
-  auto report = run_deepsz(f.net, f.train_x, f.train_y, f.test_x, f.test_y,
-                           opts);
+  auto report = compress_fixture(f, spec);
 
   // The trained baseline must be good for the experiment to mean anything.
   EXPECT_GT(report.acc_original.top1, 0.9);
@@ -71,7 +81,7 @@ TEST(Pipeline, EndToEndExpectedAccuracyMode) {
   // The decoded model respects the expected accuracy loss (with slack for
   // the finite test set and the linearity approximation).
   EXPECT_GE(report.acc_decoded.top1,
-            report.acc_pruned.top1 - opts.expected_acc_loss - 0.03);
+            report.acc_pruned.top1 - spec.expected_acc_loss - 0.03);
   // And it actually compresses: far beyond the pruning ratio alone.
   EXPECT_GT(report.compression_ratio, 5.0);
   EXPECT_EQ(report.chosen.choices.size(), 3u);
@@ -81,14 +91,13 @@ TEST(Pipeline, EndToEndExpectedAccuracyMode) {
 
 TEST(Pipeline, ExpectedRatioModeHitsSizeBudget) {
   E2EFixture f;
-  DeepSzOptions opts;
-  opts.keep_ratio = {{"fc1", 0.3}, {"fc2", 0.3}, {"fc3", 0.5}};
-  opts.retrain_epochs = 2;
-  opts.expected_acc_loss = 0.05;  // assessment walks far enough
-  opts.target_ratio = 8.0;
+  compress::CompressSpec spec;
+  spec.prune.keep_ratio = {{"fc1", 0.3}, {"fc2", 0.3}, {"fc3", 0.5}};
+  spec.prune.retrain_epochs = 2;
+  spec.expected_acc_loss = 0.05;  // assessment walks far enough
+  spec.target_ratio = 8.0;
 
-  auto report = run_deepsz(f.net, f.train_x, f.train_y, f.test_x, f.test_y,
-                           opts);
+  auto report = compress_fixture(f, spec);
   const auto budget = static_cast<std::size_t>(report.dense_fc_bytes / 8.0);
   // SZ data payload must fit the requested budget.
   EXPECT_LE(report.chosen.total_bytes, budget + 1);
@@ -122,20 +131,17 @@ TEST(Pipeline, ExpectedRatioModeHitsSizeBudget) {
 
 TEST(Pipeline, ThrowsWithoutPrunedLayers) {
   E2EFixture f;
-  DeepSzOptions opts;  // no keep_ratio entries
-  EXPECT_THROW(run_deepsz(f.net, f.train_x, f.train_y, f.test_x, f.test_y,
-                          opts),
-               std::invalid_argument);
+  compress::CompressSpec spec;  // no keep_ratio entries
+  EXPECT_THROW(compress_fixture(f, spec), std::invalid_argument);
 }
 
 TEST(Pipeline, CompressedModelReloadsIntoFreshNetwork) {
   E2EFixture f;
-  DeepSzOptions opts;
-  opts.keep_ratio = {{"fc1", 0.3}, {"fc2", 0.3}, {"fc3", 0.5}};
-  opts.retrain_epochs = 2;
-  opts.expected_acc_loss = 0.02;
-  auto report = run_deepsz(f.net, f.train_x, f.train_y, f.test_x, f.test_y,
-                           opts);
+  compress::CompressSpec spec;
+  spec.prune.keep_ratio = {{"fc1", 0.3}, {"fc2", 0.3}, {"fc3", 0.5}};
+  spec.prune.retrain_epochs = 2;
+  spec.expected_acc_loss = 0.02;
+  auto report = compress_fixture(f, spec);
 
   // A second, architecturally identical network loads the encoded model and
   // reproduces the decoded accuracy exactly (decode is deterministic).

@@ -4,7 +4,8 @@
 // benchmark harnesses.
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
+#include "compress/registry.h"
+#include "compress/session.h"
 #include "modelzoo/paper_specs.h"
 #include "modelzoo/pretrained.h"
 
@@ -27,20 +28,24 @@ TEST_F(LeNet300E2E, FullPipelineMeetsAccuracyBudget) {
   auto m = modelzoo::pretrained("lenet300");  // fresh copy from cache
   const auto& spec = modelzoo::paper_spec("lenet300");
 
-  core::DeepSzOptions opts;
+  compress::CompressSpec cspec;
   for (const auto& fc : spec.fc) {
-    opts.keep_ratio[fc.layer] = fc.keep_ratio;
+    cspec.prune.keep_ratio[fc.layer] = fc.keep_ratio;
   }
-  opts.retrain_epochs = 2;
-  opts.expected_acc_loss = spec.expected_acc_loss / 100.0;  // 0.2% -> 0.002
+  cspec.prune.retrain_epochs = 2;
+  cspec.expected_acc_loss = spec.expected_acc_loss / 100.0;  // 0.2% -> 0.002
+  const double budget = cspec.expected_acc_loss;
 
-  auto report = core::run_deepsz(m.net, m.train.images, m.train.labels,
-                                 m.test.images, m.test.labels, opts);
+  compress::CompressionSession session(
+      compress::CompressorRegistry::instance().make("deepsz"), m.net,
+      m.train.images, m.train.labels, m.test.images, m.test.labels,
+      std::move(cspec));
+  auto report = session.run();
 
   // The headline claims, in shape: large overall ratio at tiny accuracy loss.
   EXPECT_GT(report.compression_ratio, 15.0);
   EXPECT_GE(report.acc_decoded.top1,
-            report.acc_pruned.top1 - opts.expected_acc_loss - 0.015);
+            report.acc_pruned.top1 - budget - 0.015);
   // Compression must go well beyond pruning alone (CSR ~9.7x in Table 2a).
   double csr_ratio = static_cast<double>(report.dense_fc_bytes) /
                      static_cast<double>(report.csr_bytes);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "tests/heap_usage.h"
 #include "util/rng.h"
 
 namespace deepsz::lossless {
@@ -135,6 +139,60 @@ TEST(Huffman, CompressionTracksEntropy) {
   double bits_per_symbol =
       static_cast<double>(bw.bit_count()) / symbols.size();
   EXPECT_LT(bits_per_symbol, 1.5);  // entropy is ~0.7 bits here
+}
+
+/// A serialized code table: the declared alphabet, then (symbol, length)
+/// pairs exactly as HuffmanEncoder::write_table lays them out.
+std::vector<std::uint8_t> table_bytes(
+    std::uint32_t alphabet,
+    const std::vector<std::pair<std::uint32_t, int>>& codes) {
+  const int sym_bits = alphabet <= 1 ? 1 : std::bit_width(alphabet - 1);
+  util::BitWriter bw;
+  bw.write_bits(alphabet, 32);
+  bw.write_bits(codes.size(), 32);
+  for (const auto& [sym, len] : codes) {
+    bw.write_bits(sym, sym_bits);
+    bw.write_bits(static_cast<std::uint64_t>(len), 5);
+  }
+  return bw.finish();
+}
+
+TEST(Huffman, ForgedAlphabetTableCostsNoHeap) {
+  // 12 bytes declaring a 2^26-symbol alphabet with one present symbol: a
+  // valid table, so it is accepted, but only the listed pair may cost
+  // memory or time — never the declared alphabet.
+  if (!testing::heap_in_use()) {
+    GTEST_SKIP() << "mallinfo2 cannot measure this process's heap";
+  }
+  const auto bytes = table_bytes(1u << 26, {{12345, 20}});
+  ASSERT_EQ(bytes.size(), 12u);
+  const std::size_t before = *testing::heap_in_use();
+  util::BitReader br(bytes);
+  HuffmanDecoder dec;
+  dec.read_table(br);
+  const std::size_t after = *testing::heap_in_use();
+  EXPECT_EQ(dec.alphabet_size(), std::size_t{1} << 26);
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::size_t{1} << 20) << "heap grew " << grown << " bytes";
+
+  // The lone symbol owns the all-zero 20-bit code.
+  const std::vector<std::uint8_t> zeros(3, 0);
+  util::BitReader code(zeros);
+  EXPECT_EQ(dec.decode(code), 12345u);
+}
+
+TEST(Huffman, TableWithMoreCodesThanSymbolsRejected) {
+  const auto bytes = table_bytes(4, {{0, 2}, {1, 2}, {2, 2}, {3, 3}, {3, 3}});
+  util::BitReader br(bytes);
+  HuffmanDecoder dec;
+  EXPECT_THROW(dec.read_table(br), std::runtime_error);
+}
+
+TEST(Huffman, TableWithRepeatedSymbolRejected) {
+  const auto bytes = table_bytes(8, {{1, 2}, {5, 2}, {1, 3}});
+  util::BitReader br(bytes);
+  HuffmanDecoder dec;
+  EXPECT_THROW(dec.read_table(br), std::runtime_error);
 }
 
 TEST(Huffman, ReverseBits) {

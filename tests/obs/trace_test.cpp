@@ -20,10 +20,6 @@
 namespace deepsz::obs {
 namespace {
 
-// Under -DDEEPSZ_NO_TRACING the subsystem is inline no-op stubs; only the
-// clock survives, so only the clock tests do.
-#ifndef DEEPSZ_NO_TRACING
-
 class ObsTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -221,8 +217,6 @@ TEST_F(ObsTraceTest, EmitIsNoOpWhileDisabled) {
   EXPECT_EQ(Tracer::snapshot().events.size(), 0u);
   EXPECT_EQ(Tracer::stage_snapshot().size(), 0u);
 }
-
-#endif  // DEEPSZ_NO_TRACING
 
 TEST(ObsTraceTime, NowIsMonotonicNonDecreasing) {
   const auto a = now_ns();

@@ -20,7 +20,7 @@ namespace deepsz::serve {
 namespace {
 
 // A chained fc-stack container: fc6 [24x32], fc7 [16x24], fc8 [4x16], all
-// with biases, exactly what run_deepsz emits for an MLP.
+// with biases, exactly what the deepsz strategy emits for an MLP.
 struct ServeFixture {
   std::vector<sparse::PrunedLayer> layers;
   std::map<std::string, std::vector<float>> biases;

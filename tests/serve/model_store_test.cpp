@@ -335,9 +335,7 @@ TEST(ModelStore, BytesCountsCapacityForBothCsrForms) {
            l.csr_col.capacity() * sizeof(std::uint32_t) +
            l.csr_val.capacity() * sizeof(float) +
            l.codebook.capacity() * sizeof(float) + l.csr_id8.capacity() +
-           l.csr_id16.capacity() * sizeof(std::uint16_t) +
-           l.sparse.data.capacity() * sizeof(float) +
-           l.sparse.index.capacity() + l.name.size();
+           l.csr_id16.capacity() * sizeof(std::uint16_t) + l.name.size();
   };
 
   ModelStoreOptions csr_opts;
@@ -418,16 +416,6 @@ TEST(ModelStore, NativeFormLeavesNonCodebookCodecsDense) {
   auto stats = store.stats();
   EXPECT_EQ(stats.form_resident(ServingForm::kDenseF32), stats.cached_bytes);
   EXPECT_EQ(stats.form_resident(ServingForm::kCodebookCsr), 0u);
-}
-
-TEST(ModelStore, KeepSparseRetainsTwoArrayForm) {
-  auto layers = some_layers(1);
-  ModelStoreOptions opts;
-  opts.keep_sparse = true;
-  ModelStore store(encode(layers), opts);
-  auto served = store.get("fc6");
-  EXPECT_EQ(served->sparse.index, layers[0].index);
-  EXPECT_EQ(served->sparse.data.size(), layers[0].data.size());
 }
 
 }  // namespace

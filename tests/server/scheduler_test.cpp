@@ -6,13 +6,13 @@
 
 #include <atomic>
 #include <future>
-#include <malloc.h>
 #include <thread>
 #include <vector>
 
 #include "data/weight_synthesis.h"
 #include "serve/inference_session.h"
 #include "server/metrics.h"
+#include "tests/heap_usage.h"
 #include "tests/server/test_containers.h"
 
 namespace deepsz::server {
@@ -286,31 +286,13 @@ TEST(RequestScheduler, QueueDepthReporting) {
   EXPECT_EQ(sched.queue_depth("m"), 0u);  // drained
 }
 
-// ASan and TSan replace malloc, so glibc's mallinfo2 does not see their heap.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DEEPSZ_TEST_FOREIGN_MALLOC 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define DEEPSZ_TEST_FOREIGN_MALLOC 1
-#endif
-#endif
-
 // Worker sessions serve the store's decoded layers directly, so serving a
 // model must grow the heap by about what the store caches — not by a
 // per-worker copy of the network's weight and gradient tensors.
 TEST(RequestScheduler, WorkersAddNoHeapBeyondTheDecodedLayers) {
-#if defined(DEEPSZ_TEST_FOREIGN_MALLOC)
-  GTEST_SKIP() << "sanitizer allocators bypass glibc malloc, so mallinfo2 "
-                  "cannot measure this process's heap";
-#elif !defined(__GLIBC__)
-  GTEST_SKIP() << "needs glibc's mallinfo2";
-#else
-  // Live heap bytes: small chunks show in uordblks, large ones (a dense
-  // layer matrix) are mmapped and show only in hblkhd.
-  auto heap_in_use = [] {
-    const struct mallinfo2 mi = mallinfo2();
-    return mi.uordblks + mi.hblkhd;
-  };
+  if (!deepsz::testing::heap_in_use()) {
+    GTEST_SKIP() << "mallinfo2 cannot measure this process's heap";
+  }
   // LeNet-300-shaped, ~10% of the weights kept.
   const std::vector<std::int64_t> dims = {784, 300, 100, 10};
   std::vector<sparse::PrunedLayer> layers;
@@ -326,14 +308,14 @@ TEST(RequestScheduler, WorkersAddNoHeapBeyondTheDecodedLayers) {
   opts.workers_per_model = 2;
   RequestScheduler sched(repo, opts);
 
-  const std::size_t before = heap_in_use();
+  const std::size_t before = *deepsz::testing::heap_in_use();
   for (std::int64_t rows : {std::int64_t{1}, std::int64_t{16}}) {
     InferRequest req;
     req.rows = rows;
     req.input.assign(static_cast<std::size_t>(rows * dims.front()), 0.5f);
     ASSERT_EQ(sched.infer("lenet", std::move(req)).status, InferStatus::kOk);
   }
-  const std::size_t after = heap_in_use();
+  const std::size_t after = *deepsz::testing::heap_in_use();
 
   const std::size_t cached = model->store->stats().cached_bytes;
   ASSERT_GT(cached, 0u);
@@ -341,7 +323,6 @@ TEST(RequestScheduler, WorkersAddNoHeapBeyondTheDecodedLayers) {
   EXPECT_LE(grown, 2 * cached + (std::size_t{512} << 10))
       << "heap grew " << grown << " bytes serving a model whose decoded "
       << "layers hold " << cached << " bytes";
-#endif
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include "lossless/codec.h"
 #include "sz/sz.h"
+#include "tests/golden_fixture.h"
 #include "util/byte_io.h"
 #include "util/rng.h"
 
@@ -28,33 +29,44 @@ std::vector<std::uint8_t> prefix(std::span<const std::uint8_t> s,
   return std::vector<std::uint8_t>(s.begin(), s.begin() + n);
 }
 
+// The checked-in v1 stream is store-framed (4 B magic + 9 B store frame +
+// payload); no current encoder writes v1, so the frozen parser is tested on
+// it.
+std::vector<std::uint8_t> v1_stream() {
+  return testing::read_fixture("sz_v1.szs");
+}
+
+std::vector<std::uint8_t> v2_stream(std::size_t n, std::uint64_t seed,
+                                    std::uint32_t chunk_size) {
+  sz::SzParams params;
+  params.backend = lossless::CodecId::kStore;
+  params.chunk_size = chunk_size;
+  return sz::compress(weight_like(n, seed), params);
+}
+
 TEST(SzCorrupt, EveryTruncatedPrefixThrowsRuntimeError) {
   // A store backend makes truncation detection exact at every length: all
   // declared section lengths are bounds-checked against what is present.
-  // Both wire formats must hold the guarantee.
-  for (std::uint32_t version : {1u, 2u}) {
-    sz::SzParams params;
-    params.backend = lossless::CodecId::kStore;
-    params.stream_version = version;
-    params.chunk_size = 1024;  // v2: several chunks
-    auto stream = sz::compress(weight_like(3000, 1), params);
+  // Both wire formats must hold the guarantee; the v2 stream's 1024-float
+  // chunks give it several chunks over 3000 values.
+  for (const auto& stream : {v1_stream(), v2_stream(3000, 1, 1024)}) {
+    ASSERT_FALSE(stream.empty());
     for (std::size_t n = 0; n < stream.size(); ++n) {
       EXPECT_THROW(sz::decompress(prefix(stream, n)), std::runtime_error)
-          << "v" << version << " prefix " << n << "/" << stream.size();
+          << "v" << sz::inspect(stream).stream_version << " prefix " << n
+          << "/" << stream.size();
     }
   }
 }
 
 TEST(SzCorrupt, TruncatedHeaderPrefixesThrowOnInspect) {
-  for (std::uint32_t version : {1u, 2u}) {
-    sz::SzParams params;
-    params.backend = lossless::CodecId::kStore;
-    params.stream_version = version;
-    auto stream = sz::compress(weight_like(500, 2), params);
+  for (const auto& stream :
+       {v1_stream(), v2_stream(500, 2, sz::SzParams{}.chunk_size)}) {
+    ASSERT_FALSE(stream.empty());
     for (std::size_t n = 0; n < std::min<std::size_t>(stream.size(), 64);
          ++n) {
       EXPECT_THROW(sz::inspect(prefix(stream, n)), std::runtime_error)
-          << "v" << version << " prefix " << n;
+          << "v" << sz::inspect(stream).stream_version << " prefix " << n;
     }
   }
 }
@@ -73,7 +85,7 @@ TEST(SzCorrupt, CompressedBackendPrefixesNeverEscapeRuntimeError) {
   }
 }
 
-// Patches a fixed-header field of a store-backed *v1* stream. Payload
+// Patches a fixed-header field of the store-backed v1 fixture. Payload
 // layout after the 13-byte outer frame (magic u32 + frame id u8 +
 // raw_size u64): version u32, count u64, eb f64, bins u32, block u32,
 // predictor u8, unpredictable u64, n_blocks u64. The v2 header-corruption
@@ -88,10 +100,8 @@ std::vector<std::uint8_t> patched(std::vector<std::uint8_t> stream,
 class SzHeaderCorrupt : public ::testing::Test {
  protected:
   void SetUp() override {
-    sz::SzParams params;
-    params.backend = lossless::CodecId::kStore;
-    params.stream_version = 1;
-    stream_ = sz::compress(weight_like(2000, 4), params);
+    stream_ = v1_stream();
+    ASSERT_EQ(stream_.size(), 3497u);
   }
   std::vector<std::uint8_t> stream_;
 };

@@ -5,44 +5,27 @@
 // decode-path behavior change for existing files — a breaking release, not
 // a refactor.
 //
-// The fixtures are written by tools/make_golden_fixtures.cpp (with
-// DEEPSZ_NO_AVX2=1 so encoding is host-independent); regenerate them and
+// sz_v1.szs is a frozen artifact (no encoder writes v1 any more);
+// sz_v2.szs is written by tools/make_golden_fixtures.cpp (with
+// DEEPSZ_NO_AVX2=1 so encoding is host-independent) — regenerate it and
 // these constants only for a deliberate, versioned format change. The CI
 // sanitizer job runs this suite explicitly so the frozen v1 parser stays
 // ASan/UBSan-clean too.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "sz/sz.h"
+#include "tests/golden_fixture.h"
 #include "util/crc32.h"
 #include "util/stats.h"
 
 namespace deepsz::sz {
 namespace {
 
-std::vector<std::uint8_t> read_fixture(const std::string& name) {
-  const std::string path = std::string(DEEPSZ_FIXTURE_DIR) + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    ADD_FAILURE() << "missing fixture " << path;
-    return {};
-  }
-  std::fseek(f, 0, SEEK_END);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
-  std::fclose(f);
-  return data;
-}
-
-std::uint32_t float_crc(const std::vector<float>& v) {
-  return util::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(v.data()),
-      v.size() * sizeof(float)));
-}
+using testing::float_crc;
+using testing::read_fixture;
 
 TEST(SzGoldenStream, V1FixtureDecodesBitExactly) {
   auto stream = read_fixture("sz_v1.szs");

@@ -10,37 +10,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "data/weight_synthesis.h"
+#include "tests/golden_fixture.h"
 #include "train/checkpoint.h"
 #include "util/crc32.h"
 
 namespace deepsz::train {
 namespace {
 
-std::vector<std::uint8_t> read_fixture(const std::string& name) {
-  const std::string path = std::string(DEEPSZ_FIXTURE_DIR) + "/" + name;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) {
-    ADD_FAILURE() << "missing fixture " << path;
-    return {};
-  }
-  std::fseek(f, 0, SEEK_END);
-  std::vector<std::uint8_t> data(static_cast<std::size_t>(std::ftell(f)));
-  std::fseek(f, 0, SEEK_SET);
-  EXPECT_EQ(std::fread(data.data(), 1, data.size(), f), data.size());
-  std::fclose(f);
-  return data;
-}
-
-std::uint32_t float_crc(const std::vector<float>& v) {
-  return util::crc32(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(v.data()),
-      v.size() * sizeof(float)));
-}
+using testing::float_crc;
+using testing::read_fixture;
 
 TEST(GoldenCheckpoint, CkptV1FixtureDecodesBitExactly) {
   auto bytes = read_fixture("ckpt_v1.dszk");
