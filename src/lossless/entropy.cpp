@@ -147,9 +147,14 @@ void HuffmanEncoder::write_table(util::BitWriter& bw) const {
   }
 }
 
-void HuffmanDecoder::read_table(util::BitReader& br) {
+void HuffmanDecoder::read_table(util::BitReader& br,
+                                std::size_t max_alphabet) {
   auto alphabet = static_cast<std::size_t>(br.read_bits(32));
   auto n_present = static_cast<std::size_t>(br.read_bits(32));
+  if (alphabet > max_alphabet) {
+    throw std::runtime_error(
+        "HuffmanDecoder: table alphabet exceeds the caller's symbol range");
+  }
   if (alphabet > (1u << 26)) {
     throw std::runtime_error("HuffmanDecoder: implausible alphabet size");
   }
@@ -252,12 +257,7 @@ std::vector<std::uint32_t> huffman_decode_symbols(
     std::size_t max_alphabet) {
   util::BitReader br(bytes);
   HuffmanDecoder dec;
-  dec.read_table(br);
-  if (dec.alphabet_size() > max_alphabet) {
-    throw std::runtime_error(
-        "huffman_decode_symbols: table alphabet exceeds the stream's "
-        "declared symbol range");
-  }
+  dec.read_table(br, max_alphabet);
   std::vector<std::uint32_t> out(count);
   for (auto& s : out) s = dec.decode(br);
   return out;

@@ -53,9 +53,11 @@ class HuffmanEncoder {
 class HuffmanDecoder {
  public:
   /// Reads the code book serialized by HuffmanEncoder::write_table. Throws
-  /// std::runtime_error on a corrupt table: more codes than symbols, a
-  /// repeated symbol, or an out-of-range symbol or length.
-  void read_table(util::BitReader& br);
+  /// std::runtime_error on a corrupt table: a declared alphabet beyond
+  /// `max_alphabet` (the caller's own symbol range, checked before anything
+  /// is built), more codes than symbols, a repeated symbol, or an
+  /// out-of-range symbol or length.
+  void read_table(util::BitReader& br, std::size_t max_alphabet);
 
   /// Builds decoding structures directly from code lengths (for coders whose
   /// table is transmitted out of band).

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -61,13 +62,7 @@ struct Token {
 // Greedy parse with one-step lazy matching (zlib's strategy): defer a match
 // if the next position offers a strictly longer one.
 std::vector<Token> tokenize(std::span<const std::uint8_t> data) {
-  Lz77Params params;
-  params.window_bits = 15;
-  params.min_match = 3;
-  params.max_match = 258;
-  params.max_chain = 128;
-  params.nice_length = 128;
-  MatchFinder mf(data, params);
+  const MatchFinder mf(data, kGzipLz77);
 
   std::vector<Token> tokens;
   tokens.reserve(data.size() / 4 + 16);
@@ -77,24 +72,26 @@ std::vector<Token> tokenize(std::span<const std::uint8_t> data) {
     return m.length == 3 && m.distance > 4096;
   };
 
+  // find() depends only on the position, so the lookahead of a deferred
+  // match is reused as the next position's match.
+  std::optional<Match> ahead;
   std::size_t pos = 0;
   while (pos < data.size()) {
-    Match m = mf.find(pos);
+    Match m = ahead ? *ahead : mf.find(pos);
+    ahead.reset();
     if (m.found() && too_far(m)) m = Match{};
     if (m.found() && pos + 1 < data.size()) {
-      mf.insert(pos);
       Match next = mf.find(pos + 1);
       if (next.length > m.length + 1) {
         tokens.push_back({data[pos], 0});
+        ahead = next;
         ++pos;
         continue;
       }
-      for (std::size_t i = 1; i < m.length; ++i) mf.insert(pos + i);
       tokens.push_back({m.length, m.distance});
       pos += m.length;
       continue;
     }
-    mf.insert(pos);
     tokens.push_back({data[pos], 0});
     ++pos;
   }
@@ -145,8 +142,8 @@ std::vector<std::uint8_t> gzip_like_decompress(
     std::span<const std::uint8_t> payload, std::size_t raw_size) {
   util::BitReader br(payload);
   HuffmanDecoder litlen_dec, dist_dec;
-  litlen_dec.read_table(br);
-  dist_dec.read_table(br);
+  litlen_dec.read_table(br, kLitLenAlphabet);
+  dist_dec.read_table(br, kNumDistCodes);
 
   std::vector<std::uint8_t> out;
   out.reserve(untrusted_reserve_hint(raw_size, payload.size()));

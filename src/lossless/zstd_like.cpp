@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -43,13 +44,7 @@ struct Parse {
 };
 
 Parse parse_input(std::span<const std::uint8_t> data) {
-  Lz77Params params;
-  params.window_bits = 20;
-  params.min_match = 4;
-  params.max_match = 1 << 16;
-  params.max_chain = 256;
-  params.nice_length = 512;
-  MatchFinder mf(data, params);
+  const MatchFinder mf(data, kZstdLz77);
 
   // Cost-based match acceptance (the spirit of zstd's optimal parser): a
   // match is worth taking only if its sequence costs fewer bits than entropy-
@@ -77,13 +72,17 @@ Parse parse_input(std::span<const std::uint8_t> data) {
   Parse parse;
   std::size_t pos = 0;
   std::size_t lit_start = 0;
+  // find() depends only on the position, so the lookahead of a deferred
+  // match is reused as the next position's match.
+  std::optional<Match> ahead;
   while (pos < data.size()) {
-    Match m = mf.find(pos);
+    Match m = ahead ? *ahead : mf.find(pos);
+    ahead.reset();
     if (!worth_taking(m)) m = Match{};
     if (m.found() && pos + 1 < data.size()) {
-      mf.insert(pos);
       Match next = mf.find(pos + 1);
       if (next.length > m.length + 1) {
+        ahead = next;
         ++pos;
         continue;
       }
@@ -91,12 +90,10 @@ Parse parse_input(std::span<const std::uint8_t> data) {
                             data.begin() + pos);
       parse.sequences.push_back({static_cast<std::uint32_t>(pos - lit_start),
                                  m.length, m.distance});
-      for (std::size_t i = 1; i < m.length; ++i) mf.insert(pos + i);
       pos += m.length;
       lit_start = pos;
       continue;
     }
-    mf.insert(pos);
     ++pos;
   }
   parse.literals.insert(parse.literals.end(), data.begin() + lit_start,
@@ -165,10 +162,10 @@ std::vector<std::uint8_t> zstd_like_decompress(
   }
 
   HuffmanDecoder lit_dec, ll_dec, ml_dec, of_dec;
-  lit_dec.read_table(br);
-  ll_dec.read_table(br);
-  ml_dec.read_table(br);
-  of_dec.read_table(br);
+  lit_dec.read_table(br, 256);
+  ll_dec.read_table(br, kNumBuckets);
+  ml_dec.read_table(br, kNumBuckets);
+  of_dec.read_table(br, kNumBuckets);
 
   std::vector<std::uint8_t> literals(n_lit);
   for (std::size_t i = 0; i < n_lit; ++i) {

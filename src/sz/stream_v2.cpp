@@ -379,7 +379,7 @@ void decode_chunk(std::span<const std::uint8_t> framed,
   {
     util::BitReader br(huff);
     lossless::HuffmanDecoder dec;
-    dec.read_table(br);
+    dec.read_table(br, bins);
     for (auto& s : symbols) s = dec.decode(br);
   }
 

@@ -187,6 +187,16 @@ std::vector<float> decompress_checked(std::span<const std::uint8_t> stream) {
 
   auto huff_len = static_cast<std::size_t>(r.get<std::uint64_t>());
   auto huff_bytes = r.get_bytes(huff_len);
+  // Every symbol costs at least one bit of the Huffman section (the encoder
+  // gives even a one-symbol alphabet a 1-bit code), and every outlier four
+  // of the bytes left: reject counts the payload cannot back before they
+  // size the allocations below.
+  if (n > huff_bytes.size() * 8) {
+    throw std::runtime_error("sz: corrupt stream (count exceeds symbol bits)");
+  }
+  if (info.unpredictable > r.remaining() / sizeof(float)) {
+    throw std::runtime_error("sz: corrupt stream (outliers truncated)");
+  }
 
   std::vector<float> unpredictable(static_cast<std::size_t>(info.unpredictable));
   for (auto& v : unpredictable) v = r.get<float>();
@@ -196,7 +206,7 @@ std::vector<float> decompress_checked(std::span<const std::uint8_t> stream) {
   {
     util::BitReader br(huff_bytes);
     lossless::HuffmanDecoder dec;
-    dec.read_table(br);
+    dec.read_table(br, info.quant_bins);
     for (auto& s : symbols) s = dec.decode(br);
   }
 

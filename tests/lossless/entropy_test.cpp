@@ -28,7 +28,7 @@ std::vector<std::uint32_t> roundtrip(const std::vector<std::uint32_t>& symbols,
 
   util::BitReader br(bytes);
   HuffmanDecoder dec;
-  dec.read_table(br);
+  dec.read_table(br, alphabet);
   std::vector<std::uint32_t> out(symbols.size());
   for (auto& s : out) s = dec.decode(br);
   return out;
@@ -117,7 +117,7 @@ TEST(Huffman, LengthLimitingUnderExtremeSkew) {
   auto bytes = bw.finish();
   util::BitReader br(bytes);
   HuffmanDecoder dec;
-  dec.read_table(br);
+  dec.read_table(br, freq.size());
   for (auto expected : symbols) {
     ASSERT_EQ(dec.decode(br), expected);
   }
@@ -169,7 +169,7 @@ TEST(Huffman, ForgedAlphabetTableCostsNoHeap) {
   const std::size_t before = *testing::heap_in_use();
   util::BitReader br(bytes);
   HuffmanDecoder dec;
-  dec.read_table(br);
+  dec.read_table(br, std::size_t{1} << 26);
   const std::size_t after = *testing::heap_in_use();
   EXPECT_EQ(dec.alphabet_size(), std::size_t{1} << 26);
   const std::size_t grown = after > before ? after - before : 0;
@@ -185,14 +185,26 @@ TEST(Huffman, TableWithMoreCodesThanSymbolsRejected) {
   const auto bytes = table_bytes(4, {{0, 2}, {1, 2}, {2, 2}, {3, 3}, {3, 3}});
   util::BitReader br(bytes);
   HuffmanDecoder dec;
-  EXPECT_THROW(dec.read_table(br), std::runtime_error);
+  EXPECT_THROW(dec.read_table(br, 4), std::runtime_error);
+}
+
+TEST(Huffman, TableBeyondCallerAlphabetRejected) {
+  // A well-formed table is still rejected when its declared alphabet exceeds
+  // the caller's symbol range — before any code is read or built.
+  const auto bytes = table_bytes(257, {{0, 1}, {256, 1}});
+  util::BitReader br(bytes);
+  HuffmanDecoder dec;
+  EXPECT_THROW(dec.read_table(br, 256), std::runtime_error);
+  util::BitReader again(bytes);
+  EXPECT_NO_THROW(dec.read_table(again, 257));
+  EXPECT_THROW(huffman_decode_symbols(bytes, 1, 256), std::runtime_error);
 }
 
 TEST(Huffman, TableWithRepeatedSymbolRejected) {
   const auto bytes = table_bytes(8, {{1, 2}, {5, 2}, {1, 3}});
   util::BitReader br(bytes);
   HuffmanDecoder dec;
-  EXPECT_THROW(dec.read_table(br), std::runtime_error);
+  EXPECT_THROW(dec.read_table(br, 8), std::runtime_error);
 }
 
 TEST(Huffman, ReverseBits) {

@@ -16,7 +16,6 @@ TEST(Lz77, FindsExactRepeat) {
   auto data = bytes_of("abcdefgh_abcdefgh");
   Lz77Params p;
   MatchFinder mf(data, p);
-  for (std::size_t i = 0; i < 9; ++i) mf.insert(i);
   Match m = mf.find(9);
   ASSERT_TRUE(m.found());
   EXPECT_EQ(m.distance, 9u);
@@ -27,7 +26,6 @@ TEST(Lz77, NoMatchInUniqueData) {
   auto data = bytes_of("abcdefghijklmnop");
   Lz77Params p;
   MatchFinder mf(data, p);
-  for (std::size_t i = 0; i < 8; ++i) mf.insert(i);
   Match m = mf.find(8);
   EXPECT_FALSE(m.found());
 }
@@ -37,7 +35,6 @@ TEST(Lz77, RespectsMinMatch) {
   Lz77Params p;
   p.min_match = 3;
   MatchFinder mf(data, p);
-  for (std::size_t i = 0; i < 4; ++i) mf.insert(i);
   Match m = mf.find(4);  // only "ab" (length 2) matches
   EXPECT_FALSE(m.found());
 }
@@ -46,7 +43,6 @@ TEST(Lz77, OverlappingMatchForRuns) {
   std::vector<std::uint8_t> data(64, 'x');
   Lz77Params p;
   MatchFinder mf(data, p);
-  mf.insert(0);
   Match m = mf.find(1);
   ASSERT_TRUE(m.found());
   EXPECT_EQ(m.distance, 1u);
@@ -58,7 +54,6 @@ TEST(Lz77, MaxMatchCaps) {
   Lz77Params p;
   p.max_match = 100;
   MatchFinder mf(data, p);
-  mf.insert(0);
   Match m = mf.find(1);
   ASSERT_TRUE(m.found());
   EXPECT_EQ(m.length, 100u);
@@ -74,7 +69,6 @@ TEST(Lz77, WindowLimitsDistance) {
   Lz77Params p;
   p.window_bits = 12;  // 4096 window < 5008 gap
   MatchFinder mf(data, p);
-  for (std::size_t i = 0; i + 8 < data.size(); ++i) mf.insert(i);
   Match m = mf.find(data.size() - 8);
   // Either no match or only a nearby short one; the far pattern is excluded.
   if (m.found()) {

@@ -3,17 +3,15 @@
 // stream bytes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "codec/registry.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
 #include "lossless/codec.h"
 #include "sz/sz.h"
+#include "tests/counting_codec.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
@@ -138,58 +136,17 @@ TEST(ContainerReader, SingleLayerDecodeIgnoresOtherLayersScanned) {
   expect_random_access_isolation(/*with_footer=*/false);
 }
 
-namespace {
-
-/// Identity codec that counts decode() invocations — proves random access
-/// runs exactly one codec per requested layer.
-class CountingCodec : public codec::ByteCodec {
- public:
-  static std::atomic<int>& decodes() {
-    static std::atomic<int> count{0};
-    return count;
-  }
-  std::string name() const override { return "countdec-reader"; }
-  std::vector<std::uint8_t> encode(
-      std::span<const std::uint8_t> data) const override {
-    std::vector<std::uint8_t> out = {0xCD};
-    out.insert(out.end(), data.begin(), data.end());
-    return out;
-  }
-  std::vector<std::uint8_t> decode(
-      std::span<const std::uint8_t> frame) const override {
-    if (frame.empty() || frame[0] != 0xCD) {
-      throw std::runtime_error("countdec-reader: bad frame");
-    }
-    ++decodes();
-    return std::vector<std::uint8_t>(frame.begin() + 1, frame.end());
-  }
-};
-
-void ensure_counting_codec() {
-  auto& reg = codec::CodecRegistry::instance();
-  if (reg.has_byte("countdec-reader")) return;
-  codec::CodecInfo info;
-  info.name = "countdec-reader";
-  info.summary = "decode-counting identity codec (tests)";
-  reg.register_byte(info, [](const codec::Options& opts) {
-    opts.check_known({});
-    return std::make_shared<CountingCodec>();
-  });
-}
-
-}  // namespace
-
 TEST(ContainerReader, SingleLayerDecodeRunsExactlyOneIndexCodec) {
-  ensure_counting_codec();
+  auto& decodes = testing::register_counting_codec("countdec-reader", 0xCD);
   auto layers = some_layers(4);
   ContainerOptions opts;
   opts.index_codec = "countdec-reader";
   auto model = encode_model(layers, {}, opts);
 
   ContainerReader reader(model.bytes);
-  CountingCodec::decodes() = 0;
+  decodes = 0;
   auto decoded = reader.decode_layer("fc8");
-  EXPECT_EQ(CountingCodec::decodes(), 1);
+  EXPECT_EQ(decodes, 1);
   EXPECT_EQ(decoded.index, layers[2].index);
 }
 

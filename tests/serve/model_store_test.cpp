@@ -9,10 +9,10 @@
 #include <thread>
 #include <vector>
 
-#include "codec/registry.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
 #include "serve/model_store.h"
+#include "tests/counting_codec.h"
 
 namespace deepsz::serve {
 namespace {
@@ -127,53 +127,14 @@ TEST(ModelStore, EvictionKeepsOutstandingReadersValid) {
   EXPECT_EQ(served->dense, snapshot);  // shared_ptr pins the memory
 }
 
-namespace {
-
-class CountingCodec : public codec::ByteCodec {
- public:
-  static std::atomic<int>& decodes() {
-    static std::atomic<int> count{0};
-    return count;
-  }
-  std::string name() const override { return "countdec-store"; }
-  std::vector<std::uint8_t> encode(
-      std::span<const std::uint8_t> data) const override {
-    std::vector<std::uint8_t> out = {0xCE};
-    out.insert(out.end(), data.begin(), data.end());
-    return out;
-  }
-  std::vector<std::uint8_t> decode(
-      std::span<const std::uint8_t> frame) const override {
-    if (frame.empty() || frame[0] != 0xCE) {
-      throw std::runtime_error("countdec-store: bad frame");
-    }
-    ++decodes();
-    return std::vector<std::uint8_t>(frame.begin() + 1, frame.end());
-  }
-};
-
-void ensure_counting_codec() {
-  auto& reg = codec::CodecRegistry::instance();
-  if (reg.has_byte("countdec-store")) return;
-  codec::CodecInfo info;
-  info.name = "countdec-store";
-  info.summary = "decode-counting identity codec (tests)";
-  reg.register_byte(info, [](const codec::Options& opts) {
-    opts.check_known({});
-    return std::make_shared<CountingCodec>();
-  });
-}
-
-}  // namespace
-
 TEST(ModelStore, DuplicateInFlightDecodesCoalesce) {
-  ensure_counting_codec();
+  auto& decodes = testing::register_counting_codec("countdec-store", 0xCE);
   auto layers = some_layers(1);
   core::ContainerOptions copts;
   copts.index_codec = "countdec-store";
   ModelStore store(encode(layers, copts));
 
-  CountingCodec::decodes() = 0;
+  decodes = 0;
   constexpr int kThreads = 8;
   std::vector<std::shared_ptr<const ServedLayer>> results(kThreads);
   {
@@ -185,7 +146,7 @@ TEST(ModelStore, DuplicateInFlightDecodesCoalesce) {
   }
   // The layer's index stream ran through the codec exactly once, no matter
   // how the eight lookups raced.
-  EXPECT_EQ(CountingCodec::decodes(), 1);
+  EXPECT_EQ(decodes, 1);
   for (const auto& r : results) {
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r.get(), results[0].get());

@@ -7,8 +7,10 @@
 #include <vector>
 
 #include "lossless/codec.h"
+#include "lossless/entropy.h"
 #include "sz/sz.h"
 #include "tests/golden_fixture.h"
+#include "tests/heap_usage.h"
 #include "util/byte_io.h"
 #include "util/rng.h"
 
@@ -141,6 +143,53 @@ TEST_F(SzHeaderCorrupt, WrappingSectionLengthRejected) {
     auto bad = patched<std::uint64_t>(stream_, 45, evil);
     EXPECT_THROW(sz::decompress(bad), std::runtime_error) << evil;
   }
+}
+
+TEST(SzCorrupt, V1CountBeyondSymbolBitsRejectedWithoutInflating) {
+  // A hand-built store-framed v1 stream declaring 2^24 floats in one block,
+  // with a one-symbol Huffman table and no code bits. Reads past the end
+  // yield zero bits, which decode as that symbol forever, so only the
+  // payload-derived bound (at least one bit per symbol) stops it: before
+  // that bound it decoded to 16 Mi floats.
+  if (!testing::heap_in_use()) {
+    GTEST_SKIP() << "mallinfo2 cannot measure this process's heap";
+  }
+  constexpr std::uint32_t kBins = 1024;
+  constexpr std::uint64_t kCount = std::uint64_t{1} << 24;
+  std::vector<std::uint64_t> freq(kBins, 0);
+  freq[kBins / 2] = 1;
+  lossless::HuffmanEncoder enc;
+  enc.init(freq);
+  util::BitWriter bw;
+  enc.write_table(bw);
+  const auto table = bw.finish();
+
+  std::vector<std::uint8_t> payload;
+  util::put_le<std::uint32_t>(payload, 1);       // version
+  util::put_le<std::uint64_t>(payload, kCount);  // count
+  util::put_le<double>(payload, 1e-3);           // error bound
+  util::put_le<std::uint32_t>(payload, kBins);   // quant_bins
+  util::put_le<std::uint32_t>(payload, static_cast<std::uint32_t>(kCount));
+  util::put_le<std::uint8_t>(payload, 0);        // predictor mode
+  util::put_le<std::uint64_t>(payload, 0);       // unpredictable
+  util::put_le<std::uint64_t>(payload, 1);       // n_blocks
+  util::put_le<std::uint64_t>(payload, 1);       // kinds length
+  util::put_le<std::uint8_t>(payload, 0);        // one Lorenzo-1 block
+  util::put_le<std::uint64_t>(payload, 0);       // n_fits
+  util::put_le<std::uint64_t>(payload, table.size());
+  payload.insert(payload.end(), table.begin(), table.end());
+  std::vector<std::uint8_t> stream;
+  util::put_le<std::uint32_t>(stream, 0x575a5344);  // "DSZW"
+  const auto frame = lossless::compress(lossless::CodecId::kStore, payload);
+  stream.insert(stream.end(), frame.begin(), frame.end());
+  ASSERT_EQ(sz::inspect(stream).count, kCount);
+
+  const std::size_t before = *testing::heap_in_use();
+  std::vector<float> decoded;
+  EXPECT_THROW(decoded = sz::decompress(stream), std::runtime_error);
+  const std::size_t after = *testing::heap_in_use();
+  const std::size_t grown = after > before ? after - before : 0;
+  EXPECT_LT(grown, std::size_t{1} << 20) << "heap grew " << grown << " bytes";
 }
 
 TEST(LosslessCorrupt, EveryTruncatedStoreFramePrefixThrows) {
