@@ -226,18 +226,64 @@ void HuffmanDecoder::build(std::size_t alphabet,
     offset_[l] = idx;
     idx += count_[l];
   }
+
+  // Every code of at most table_bits_ bits fills each table index whose low
+  // `length` bits are its bit-reversed code; longer codes and prefixes no
+  // code covers stay 0 and take the walk. A corrupt table may over-subscribe
+  // the code space, so the fill reproduces the walk exactly: a code at or
+  // past 2^length never matches, and once the 32-bit canonical arithmetic
+  // wraps a longer code can overlap a shorter one, where the shorter wins
+  // (lengths fill in ascending order and never overwrite an entry).
+  table_bits_ = std::min(kMaxTableBits, max_len_);
+  table_.assign(std::size_t{1} << table_bits_, 0);
+  for (int l = 1; l <= table_bits_; ++l) {
+    for (std::uint32_t i = 0; i < count_[l]; ++i) {
+      const std::uint64_t code = std::uint64_t{first_code_[l]} + i;
+      if (code >> l != 0) break;
+      const std::uint32_t entry =
+          sorted_symbols_[offset_[l] + i] << kLenBits |
+          static_cast<std::uint32_t>(l);
+      for (std::size_t at = reverse_bits(static_cast<std::uint32_t>(code), l);
+           at < table_.size(); at += std::size_t{1} << l) {
+        if (table_[at] == 0) table_[at] = entry;
+      }
+    }
+  }
 }
 
-std::uint32_t HuffmanDecoder::decode(util::BitReader& br) const {
+std::uint32_t HuffmanDecoder::walk(std::uint64_t bits) const {
   std::uint32_t code = 0;
   for (int l = 1; l <= max_len_; ++l) {
-    code = (code << 1) | br.read_bit();
+    code = (code << 1) | static_cast<std::uint32_t>((bits >> (l - 1)) & 1u);
     std::uint32_t rel = code - first_code_[l];
     if (code >= first_code_[l] && rel < count_[l]) {
-      return sorted_symbols_[offset_[l] + rel];
+      return sorted_symbols_[offset_[l] + rel] << kLenBits |
+             static_cast<std::uint32_t>(l);
     }
   }
   throw std::runtime_error("HuffmanDecoder: invalid code in stream");
+}
+
+inline std::uint32_t HuffmanDecoder::decode_one(util::BitReader& br) const {
+  std::uint32_t entry = table_[br.peek_bits(table_bits_)];
+  if ((entry & kLenMask) == 0) [[unlikely]] {
+    entry = walk(br.peek_bits(max_len_));
+  }
+  br.skip_bits(static_cast<int>(entry & kLenMask));
+  return entry >> kLenBits;
+}
+
+std::uint32_t HuffmanDecoder::decode(util::BitReader& br) const {
+  return decode_one(br);
+}
+
+void HuffmanDecoder::decode(util::BitReader& br,
+                            std::span<std::uint32_t> out) const {
+  // A local copy whose address never escapes: the compiler keeps its bit
+  // buffer in registers instead of reloading it around every output store.
+  util::BitReader local = br;
+  for (auto& s : out) s = decode_one(local);
+  br = local;
 }
 
 std::vector<std::uint8_t> huffman_encode_symbols(
@@ -259,7 +305,7 @@ std::vector<std::uint32_t> huffman_decode_symbols(
   HuffmanDecoder dec;
   dec.read_table(br, max_alphabet);
   std::vector<std::uint32_t> out(count);
-  for (auto& s : out) s = dec.decode(br);
+  dec.decode(br, out);
   return out;
 }
 

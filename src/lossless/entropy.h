@@ -3,9 +3,10 @@
 // block coder, and the ZstdLike sequence coder.
 //
 // Codes are canonical (assigned by (length, symbol) order), length-limited via
-// Kraft-sum repair, and written bit-reversed so that a bit-serial canonical
-// decoder sees the most significant code bit first while the underlying
-// BitWriter stays LSB-first.
+// Kraft-sum repair, and written bit-reversed so that the first stream bit is
+// the most significant code bit while the underlying BitWriter stays
+// LSB-first. The next k stream bits, read LSB-first, therefore index a lookup
+// table directly.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +51,12 @@ class HuffmanEncoder {
 };
 
 /// Decodes a canonical Huffman stream produced by HuffmanEncoder.
+///
+/// Decoding is table-driven: a 2^k-entry table (k = min(kMaxTableBits,
+/// longest code)) indexed by the next k stream bits yields the symbol and its
+/// code length in one lookup. Codes longer than k bits, and k-bit prefixes no
+/// code fills, fall back to the canonical walk over the code lengths, which
+/// rejects invalid codes.
 class HuffmanDecoder {
  public:
   /// Reads the code book serialized by HuffmanEncoder::write_table. Throws
@@ -66,6 +73,11 @@ class HuffmanDecoder {
   /// Decodes one symbol. Throws std::runtime_error on an invalid code.
   std::uint32_t decode(util::BitReader& br) const;
 
+  /// Decodes out.size() consecutive symbols, keeping the bit buffer in
+  /// registers for the whole array. Throws std::runtime_error on an invalid
+  /// code; `br`'s position is then unspecified.
+  void decode(util::BitReader& br, std::span<std::uint32_t> out) const;
+
   std::size_t alphabet_size() const { return alphabet_; }
 
  private:
@@ -73,13 +85,32 @@ class HuffmanDecoder {
     std::uint32_t symbol;
     int length;
   };
+  /// Widest lookup-table index: 2^11 four-byte entries (8 KiB) stay in L1
+  /// cache; codes longer than this take the walk.
+  static constexpr int kMaxTableBits = 11;
+  /// A table entry packs `symbol << kLenBits | length`; length 0 marks a
+  /// prefix that needs the canonical walk. Symbols stay below the 2^26
+  /// alphabet ceiling, so the packing fits 32 bits.
+  static constexpr int kLenBits = 5;
+  static constexpr std::uint32_t kLenMask = (1u << kLenBits) - 1;
+
   /// Builds the canonical tables from the present symbols alone, in
   /// O(n log n) of their count — never of the declared alphabet. Throws
   /// std::runtime_error on a repeated symbol.
   void build(std::size_t alphabet, std::vector<SymbolLength> codes);
 
+  /// Decodes one symbol through the lookup table, falling back to walk().
+  std::uint32_t decode_one(util::BitReader& br) const;
+
+  /// Canonical walk over the next max_len_ stream bits (`bits`, LSB = next
+  /// stream bit = most significant code bit). Returns the packed table
+  /// entry of the code found; throws std::runtime_error if none matches.
+  std::uint32_t walk(std::uint64_t bits) const;
+
   std::size_t alphabet_ = 0;
   int max_len_ = 0;
+  int table_bits_ = 0;
+  std::vector<std::uint32_t> table_;  // 2^table_bits_ packed entries
   // Canonical decoding tables indexed by code length.
   std::vector<std::uint32_t> first_code_;   // first canonical code of length L
   std::vector<std::uint32_t> offset_;       // index into sorted_symbols_

@@ -6,11 +6,13 @@
 // index-array workloads it compresses strictly better than GzipLike, matching
 // the ordering in Figure 4.
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -167,24 +169,36 @@ std::vector<std::uint8_t> zstd_like_decompress(
   ml_dec.read_table(br, kNumBuckets);
   of_dec.read_table(br, kNumBuckets);
 
+  // Literals decode a block at a time through the whole-array decoder; the
+  // table's alphabet cap of 256 keeps every symbol a byte.
   std::vector<std::uint8_t> literals(n_lit);
-  for (std::size_t i = 0; i < n_lit; ++i) {
-    literals[i] = static_cast<std::uint8_t>(lit_dec.decode(br));
+  std::array<std::uint32_t, 1024> block{};
+  for (std::size_t i = 0; i < n_lit; i += block.size()) {
+    const auto part = std::span(block).first(std::min(block.size(), n_lit - i));
+    lit_dec.decode(br, part);
+    for (std::size_t j = 0; j < part.size(); ++j) {
+      literals[i + j] = static_cast<std::uint8_t>(part[j]);
+    }
   }
 
   std::vector<std::uint8_t> out;
   out.reserve(untrusted_reserve_hint(raw_size, payload.size()));
   std::size_t lit_pos = 0;
+  // The sequence tables declare kNumBuckets symbols, but no u32 value falls
+  // in bucket 32 (whose base would be 2^32 - 1): a forged table that codes
+  // it is corrupt.
+  auto read_value = [&br](const HuffmanDecoder& dec) {
+    const std::uint32_t b = dec.decode(br);
+    if (b >= kNumBuckets - 1) {
+      throw std::runtime_error("zstd_like: corrupt sequence bucket");
+    }
+    return bucket_base(b) +
+           static_cast<std::uint32_t>(br.read_bits(static_cast<int>(b)));
+  };
   for (std::size_t s = 0; s < n_seq; ++s) {
-    std::uint32_t bl = ll_dec.decode(br);
-    std::uint32_t lit_len =
-        bucket_base(bl) + static_cast<std::uint32_t>(br.read_bits(static_cast<int>(bl)));
-    std::uint32_t bm = ml_dec.decode(br);
-    std::uint32_t match_len =
-        bucket_base(bm) + static_cast<std::uint32_t>(br.read_bits(static_cast<int>(bm)));
-    std::uint32_t bo = of_dec.decode(br);
-    std::uint32_t offset =
-        bucket_base(bo) + static_cast<std::uint32_t>(br.read_bits(static_cast<int>(bo)));
+    const std::uint32_t lit_len = read_value(ll_dec);
+    const std::uint32_t match_len = read_value(ml_dec);
+    const std::uint32_t offset = read_value(of_dec);
 
     // Wrap-proof shape: lit_pos <= literals.size() and out.size() <= raw_size
     // are loop invariants, so the subtractions cannot underflow; summing the

@@ -380,7 +380,7 @@ void decode_chunk(std::span<const std::uint8_t> framed,
     util::BitReader br(huff);
     lossless::HuffmanDecoder dec;
     dec.read_table(br, bins);
-    for (auto& s : symbols) s = dec.decode(br);
+    dec.decode(br, symbols);
   }
 
   const LinearQuantizer quantizer(eb, bins);

@@ -207,7 +207,7 @@ std::vector<float> decompress_checked(std::span<const std::uint8_t> stream) {
     util::BitReader br(huff_bytes);
     lossless::HuffmanDecoder dec;
     dec.read_table(br, info.quant_bins);
-    for (auto& s : symbols) s = dec.decode(br);
+    dec.decode(br, symbols);
   }
 
   LinearQuantizer quantizer(info.abs_error_bound, info.quant_bins);

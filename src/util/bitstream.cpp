@@ -25,25 +25,4 @@ std::vector<std::uint8_t> BitWriter::finish() {
   return std::move(bytes_);
 }
 
-void BitReader::refill() {
-  while (nbuf_ <= 56 && byte_pos_ < data_.size()) {
-    buf_ |= static_cast<std::uint64_t>(data_[byte_pos_++]) << nbuf_;
-    nbuf_ += 8;
-  }
-}
-
-std::uint64_t BitReader::read_bits(int nbits) {
-  assert(nbits >= 0 && nbits <= 57);
-  if (nbits == 0) return 0;
-  if (nbuf_ < nbits) refill();
-  std::uint64_t mask = (nbits == 64) ? ~0ull : ((1ull << nbits) - 1);
-  std::uint64_t v = buf_ & mask;
-  int consumed = nbits < nbuf_ ? nbits : nbuf_;
-  buf_ >>= nbits;
-  nbuf_ -= consumed;
-  if (nbuf_ < 0) nbuf_ = 0;
-  bit_pos_ += nbits;
-  return v;
-}
-
 }  // namespace deepsz::util

@@ -7,7 +7,10 @@
 // read_bits(n) round-trips any v < 2^n.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -35,13 +38,42 @@ class BitWriter {
 };
 
 /// Reads bits back in the order BitWriter wrote them.
+///
+/// The reader keeps up to 64 upcoming bits in a buffer, refilled 8 bytes at
+/// a time, so a decoder can peek a whole lookup-table index and then consume
+/// only the bits the matched code used. Every member is inline: a decoder
+/// that copies the reader into a local can keep the buffer in registers
+/// across a whole symbol array.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  /// Reads `nbits` bits (LSB first). Reads past the end return zero bits,
-  /// mirroring the zero padding emitted by BitWriter::finish().
-  std::uint64_t read_bits(int nbits);
+  /// Returns the next `nbits` bits (LSB first) without consuming them.
+  /// nbits in [0, 57]. Bits past the end read as zero, mirroring the zero
+  /// padding emitted by BitWriter::finish().
+  std::uint64_t peek_bits(int nbits) {
+    assert(nbits >= 0 && nbits <= 57);
+    if (nbuf_ < nbits) refill();
+    return buf_ & ((std::uint64_t{1} << nbits) - 1);
+  }
+
+  /// Consumes `nbits` bits, nbits in [0, 57]. bit_pos() advances by exactly
+  /// `nbits`, past the end too.
+  void skip_bits(int nbits) {
+    assert(nbits >= 0 && nbits <= 57);
+    if (nbuf_ < nbits) refill();
+    buf_ >>= nbits;
+    nbuf_ = nbits < nbuf_ ? nbuf_ - nbits : 0;
+    bit_pos_ += static_cast<std::size_t>(nbits);
+  }
+
+  /// Reads `nbits` bits (LSB first), nbits in [0, 57]. Reads past the end
+  /// return zero bits.
+  std::uint64_t read_bits(int nbits) {
+    const std::uint64_t v = peek_bits(nbits);
+    skip_bits(nbits);
+    return v;
+  }
 
   /// Reads a single bit.
   std::uint32_t read_bit() { return static_cast<std::uint32_t>(read_bits(1)); }
@@ -53,13 +85,41 @@ class BitReader {
   bool exhausted() const { return bit_pos_ >= data_.size() * 8; }
 
  private:
-  void refill();
+  /// Tops the buffer up to at least 57 bits while input remains. Bits of
+  /// buf_ above nbuf_ always hold the stream's own bits at those positions
+  /// (zero past the end), so the partial byte a whole-word load leaves
+  /// behind may be OR-ed in again later.
+  void refill() {
+    if (nbuf_ <= 56 && data_.size() - byte_pos_ >= 8) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, data_.data() + byte_pos_, 8);
+      if constexpr (std::endian::native == std::endian::big) {
+        word = byteswap64(word);
+      }
+      buf_ |= word << nbuf_;
+      byte_pos_ += static_cast<std::size_t>(63 - nbuf_) >> 3;
+      nbuf_ |= 56;
+    }
+    while (nbuf_ <= 56 && byte_pos_ < data_.size()) {
+      buf_ |= std::uint64_t{data_[byte_pos_++]} << nbuf_;
+      nbuf_ += 8;
+    }
+  }
+
+  static std::uint64_t byteswap64(std::uint64_t v) {
+    std::uint64_t r = 0;
+    for (int i = 0; i < 8; ++i) {
+      r = (r << 8) | (v & 0xffu);
+      v >>= 8;
+    }
+    return r;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t byte_pos_ = 0;
   std::size_t bit_pos_ = 0;
-  std::uint64_t buf_ = 0;
-  int nbuf_ = 0;
+  std::uint64_t buf_ = 0;  // upcoming bits, LSB = next
+  int nbuf_ = 0;           // bits of buf_ loaded from data_
 };
 
 }  // namespace deepsz::util

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "util/bitstream.h"
 #include "util/byte_io.h"
 #include "util/rng.h"
 
@@ -142,6 +144,34 @@ TEST(Codec, TruncatedFrameThrows) {
   auto frame = compress(CodecId::kZstdLike, data);
   frame.resize(frame.size() / 2);
   EXPECT_ANY_THROW(decompress(frame));
+}
+
+TEST(ZstdLike, ForgedSequenceBucket32Rejected) {
+  // The sequence tables declare 33 buckets, but no u32 value falls in
+  // bucket 32 (whose base 2^32 - 1 the decoder cannot even compute). A
+  // hand-built payload whose literal-length table codes only bucket 32, as
+  // the 1-bit code "0", must throw cleanly before the bucket is used.
+  util::BitWriter bw;
+  bw.write_bits(1, 32);  // one sequence
+  bw.write_bits(0, 32);  // no literals
+  auto table = [&bw](std::uint32_t alphabet, std::uint32_t sym, int sym_bits) {
+    bw.write_bits(alphabet, 32);
+    bw.write_bits(1, 32);  // one present symbol
+    bw.write_bits(sym, sym_bits);
+    bw.write_bits(1, 5);  // code length 1
+  };
+  table(256, 0, 8);  // literals
+  table(33, 32, 6);  // literal lengths: bucket 32 only
+  table(33, 0, 6);   // match lengths
+  table(33, 0, 6);   // offsets
+  bw.write_bits(0, 8);
+  const auto payload = bw.finish();
+  try {
+    raw::zstd_like_decompress(payload, 100);
+    ADD_FAILURE() << "forged bucket 32 decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "zstd_like: corrupt sequence bucket");
+  }
 }
 
 TEST(Codec, BloscHugeDeclaredLiteralLengthThrows) {

@@ -64,6 +64,41 @@ TEST(BitStream, ReadPastEndReturnsZeros) {
   EXPECT_EQ(br.read_bits(32), 0u);  // past end
 }
 
+TEST(BitStream, PeekDoesNotConsumeAndSkipMatchesRead) {
+  // A 20-byte stream: long enough for whole-word refills, short enough
+  // that peeks near the end reach past it.
+  BitWriter bw;
+  Pcg32 rng(5);
+  for (int i = 0; i < 5; ++i) bw.write_bits(rng.next_u32(), 32);
+  const auto bytes = bw.finish();
+  for (int step = 1; step <= 57; ++step) {
+    BitReader peeker(bytes), reader(bytes);
+    while (!reader.exhausted()) {
+      const auto peeked = peeker.peek_bits(step);
+      EXPECT_EQ(peeker.peek_bits(step), peeked);  // peeking consumes nothing
+      EXPECT_EQ(reader.read_bits(step), peeked) << "step " << step;
+      peeker.skip_bits(step);
+      EXPECT_EQ(peeker.bit_pos(), reader.bit_pos());
+    }
+  }
+}
+
+TEST(BitStream, SkipWithoutPeekAndPastEndReadsZero) {
+  BitWriter bw;
+  for (int i = 0; i < 4; ++i) bw.write_bits(0xffffffffu, 32);
+  const auto bytes = bw.finish();  // 128 one bits
+  BitReader br(bytes);
+  br.skip_bits(57);  // no peek first: the skip itself must load the bits
+  br.skip_bits(57);
+  EXPECT_EQ(br.bit_pos(), 114u);
+  EXPECT_EQ(br.peek_bits(20), 0x3fffu);  // 14 real one bits, then zeros
+  br.skip_bits(20);
+  EXPECT_EQ(br.bit_pos(), 134u);  // advances past the end like read_bits
+  EXPECT_EQ(br.peek_bits(57), 0u);
+  EXPECT_EQ(br.read_bits(40), 0u);
+  EXPECT_EQ(br.bit_pos(), 174u);
+}
+
 TEST(BitStream, BitCountTracksWrites) {
   BitWriter bw;
   EXPECT_EQ(bw.bit_count(), 0u);
