@@ -77,8 +77,9 @@ struct CompressorInfo {
   /// The serving form this strategy's containers occupy in a native-form
   /// ModelStore (serve/serving_form.h): deep-compression stays resident as
   /// kCodebookCsr (~4-5 bits/weight); pruning-based strategies decode to
-  /// dense + CSR (kSparseCsr under build_csr); weightless reconstructs a
-  /// mostly-dense matrix, so it serves as kDenseF32.
+  /// CSR arrays only (kSparseCsr, at or below kSparseCsrMaxDensity);
+  /// weightless stores every position of a mostly-dense matrix, so it
+  /// serves as kDenseF32.
   serve::ServingForm native_form = serve::ServingForm::kDenseF32;
 };
 

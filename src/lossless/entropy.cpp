@@ -215,6 +215,16 @@ void HuffmanDecoder::build(std::size_t alphabet,
     ++count_[c.length];
     sorted_symbols_.push_back(c.symbol);
   }
+  // Kraft: the codes must fit the code space (sum of 2^-length <= 1). An
+  // over-subscribed table is corrupt; rejecting it keeps every canonical
+  // code below 2^length, so the codes neither overlap nor wrap.
+  std::uint64_t kraft = 0;
+  for (int l = 1; l <= max_len_; ++l) {
+    kraft += std::uint64_t{count_[l]} << (max_len_ - l);
+  }
+  if (kraft > std::uint64_t{1} << max_len_) {
+    throw std::runtime_error("HuffmanDecoder: over-subscribed code table");
+  }
   // Same canonical recurrence as the encoder (count_[0] == 0, so
   // first_code_[1] == 0).
   first_code_.assign(max_len_ + 2, 0);
@@ -229,23 +239,17 @@ void HuffmanDecoder::build(std::size_t alphabet,
 
   // Every code of at most table_bits_ bits fills each table index whose low
   // `length` bits are its bit-reversed code; longer codes and prefixes no
-  // code covers stay 0 and take the walk. A corrupt table may over-subscribe
-  // the code space, so the fill reproduces the walk exactly: a code at or
-  // past 2^length never matches, and once the 32-bit canonical arithmetic
-  // wraps a longer code can overlap a shorter one, where the shorter wins
-  // (lengths fill in ascending order and never overwrite an entry).
+  // code covers stay 0 and take the walk.
   table_bits_ = std::min(kMaxTableBits, max_len_);
   table_.assign(std::size_t{1} << table_bits_, 0);
   for (int l = 1; l <= table_bits_; ++l) {
     for (std::uint32_t i = 0; i < count_[l]; ++i) {
-      const std::uint64_t code = std::uint64_t{first_code_[l]} + i;
-      if (code >> l != 0) break;
       const std::uint32_t entry =
           sorted_symbols_[offset_[l] + i] << kLenBits |
           static_cast<std::uint32_t>(l);
-      for (std::size_t at = reverse_bits(static_cast<std::uint32_t>(code), l);
+      for (std::size_t at = reverse_bits(first_code_[l] + i, l);
            at < table_.size(); at += std::size_t{1} << l) {
-        if (table_[at] == 0) table_[at] = entry;
+        table_[at] = entry;
       }
     }
   }

@@ -62,12 +62,14 @@ class HuffmanDecoder {
   /// Reads the code book serialized by HuffmanEncoder::write_table. Throws
   /// std::runtime_error on a corrupt table: a declared alphabet beyond
   /// `max_alphabet` (the caller's own symbol range, checked before anything
-  /// is built), more codes than symbols, a repeated symbol, or an
-  /// out-of-range symbol or length.
+  /// is built), more codes than symbols, a repeated symbol, an out-of-range
+  /// symbol or length, or more codes than the code space holds (Kraft sum
+  /// above 1).
   void read_table(util::BitReader& br, std::size_t max_alphabet);
 
   /// Builds decoding structures directly from code lengths (for coders whose
-  /// table is transmitted out of band).
+  /// table is transmitted out of band). Throws std::runtime_error on an
+  /// over-subscribed code.
   void init_from_lengths(std::span<const int> lengths);
 
   /// Decodes one symbol. Throws std::runtime_error on an invalid code.
@@ -96,7 +98,7 @@ class HuffmanDecoder {
 
   /// Builds the canonical tables from the present symbols alone, in
   /// O(n log n) of their count — never of the declared alphabet. Throws
-  /// std::runtime_error on a repeated symbol.
+  /// std::runtime_error on a repeated symbol or an over-subscribed code.
   void build(std::size_t alphabet, std::vector<SymbolLength> codes);
 
   /// Decodes one symbol through the lookup table, falling back to walk().

@@ -5,10 +5,18 @@
 #include "nn/network.h"
 #include "serve/sparse_forward.h"
 #include "tensor/gemm.h"
+#include "util/cpu.h"
 #include "util/timer.h"
 
 namespace deepsz::serve {
 namespace {
+
+// The ReLU nn::ReLU::forward applies (NaN and -0.0f become 0.0f).
+void relu_inplace(tensor::Tensor& y) {
+  for (std::int64_t i = 0; i < y.numel(); ++i) {
+    if (!(y[i] > 0.0f)) y[i] = 0.0f;
+  }
+}
 
 // y = x W^T + b, then ReLU unless this is the last layer — the arithmetic
 // nn::Dense::forward and nn::ReLU::forward perform, in the same order, so
@@ -25,11 +33,7 @@ tensor::Tensor dense_layer_forward(const ServedLayer& layer,
       row[j] += layer.bias.empty() ? 0.0f : layer.bias[j];
     }
   }
-  if (relu) {
-    for (std::int64_t i = 0; i < y.numel(); ++i) {
-      if (!(y[i] > 0.0f)) y[i] = 0.0f;
-    }
-  }
+  if (relu) relu_inplace(y);
   return y;
 }
 
@@ -96,35 +100,37 @@ tensor::Tensor InferenceSession::infer(const tensor::Tensor& batch) {
   }
   const std::int64_t n = batch.dim(0);
 
-  const bool want_sparse = sparse_enabled_ && sparse_forward_profitable(n);
-  // A native-form store may serve codebook layers, which only the kernel
-  // path can run — so the chain is pinned (its forms discovered) before the
-  // first layer computes, even when the sparse path is not otherwise wanted.
-  bool kernel = false;
-  if (want_sparse || store_.options().native_form) {
-    bool csr = true;
-    bool codebook = false;
-    for (std::size_t i = 0; i < chain_.size(); ++i) {
-      const ServedLayer& layer = pin(i);
-      csr = csr && layer.has_csr();
-      codebook = codebook || layer.form == ServingForm::kCodebookCsr;
-    }
-    kernel = codebook || (want_sparse && csr);
-  }
-
+  // A layer without a dense matrix (CSR-only, codebook) can only run the
+  // kernel; an opted-in session also runs it over dense layers that carry a
+  // CSR copy, on hosts with the AVX2 kernel. Each maximal run of kernel
+  // layers is one sparse_fc_forward call, with the session applying the
+  // ReLU after a run that does not end the chain. Layers are pinned as the
+  // pass reaches them, so a cold first request interleaves decode and
+  // compute.
+  const bool opted_in = sparse_enabled_ && util::have_avx2_fma();
+  const auto runs_kernel = [&](const ServedLayer& layer) {
+    return layer.form != ServingForm::kDenseF32 &&
+           (layer.dense.empty() || opted_in);
+  };
+  const std::size_t depth = chain_.size();
   tensor::Tensor y;
-  if (kernel) {
-    util::WallTimer compute;
-    y = sparse_fc_forward(chain_, batch);
-    stats_.compute_ms += compute.millis();
-  } else {
-    for (std::size_t i = 0; i < chain_.size(); ++i) {
-      const ServedLayer& layer = pin(i);
+  const tensor::Tensor* x = &batch;
+  std::vector<std::shared_ptr<const ServedLayer>> run;
+  for (std::size_t i = 0; i < depth;) {
+    if (!runs_kernel(pin(i))) {
       util::WallTimer compute;
-      y = dense_layer_forward(layer, i == 0 ? batch : y,
-                              /*relu=*/i + 1 < chain_.size());
+      y = dense_layer_forward(*chain_[i], *x, /*relu=*/i + 1 < depth);
+      stats_.compute_ms += compute.millis();
+      ++i;
+    } else {
+      run.clear();
+      for (; i < depth && runs_kernel(pin(i)); ++i) run.push_back(chain_[i]);
+      util::WallTimer compute;
+      y = sparse_fc_forward(run, *x);
+      if (i < depth) relu_inplace(y);
       stats_.compute_ms += compute.millis();
     }
+    x = &y;
   }
   ++stats_.requests;
   stats_.samples += static_cast<std::uint64_t>(n);

@@ -52,9 +52,12 @@ class InferenceSession {
   /// otherwise. The net's weights are never read.
   InferenceSession(ModelStore& store, const nn::Network& net);
 
-  /// Opts this session into the sparse batched forward (see infer()). Off
-  /// by default so direct sessions stay bit-exact with an eagerly decoded
-  /// network; the serving scheduler turns it on for its worker sessions.
+  /// Opts this session into running the sparse kernel over layers that
+  /// keep a dense matrix AND a CSR copy (a store with
+  /// ModelStoreOptions::build_csr), at every batch size on hosts with the
+  /// AVX2 kernel. Off by default so direct sessions over such stores stay
+  /// bit-exact with an eagerly decoded network. Layers without a dense
+  /// matrix take the kernel whether or not the session opted in.
   void enable_sparse_forward(bool on) { sparse_enabled_ = on; }
   bool sparse_forward_enabled() const { return sparse_enabled_; }
 
@@ -64,20 +67,16 @@ class InferenceSession {
   /// Serves one batched forward pass ([batch, features] in, logits out);
   /// throws std::invalid_argument for any other input shape.
   ///
-  /// By default each layer runs as nn::Dense::forward and nn::ReLU::forward
-  /// compute it (dense GEMM, bias, ReLU), so results are bit-exact with an
-  /// eagerly decoded network. With enable_sparse_forward(true), batches
-  /// large enough for sparse_forward_profitable instead run through
-  /// serve::sparse_fc_forward on the layers' CSR views — only surviving
-  /// (non-pruned) weights are touched, so batched requests cost ~density x
-  /// the dense FLOPs. The two paths agree to fp tolerance, not bit-exactly
-  /// (different summation order). Unless every layer has a CSR view (a
-  /// store built with build_csr), opted-in batches stay on the dense path.
-  ///
-  /// Layers a native-form store serves as ServingForm::kCodebookCsr have no
-  /// dense matrix at all, so a chain holding one takes the kernel path at
-  /// every batch size (opt-in not required); the kernel rejects that chain
-  /// if another layer lacks a CSR view.
+  /// Each layer runs in the form it is served in. A dense matrix runs as
+  /// nn::Dense::forward and nn::ReLU::forward compute it (dense GEMM, bias,
+  /// ReLU), so a default store's results are bit-exact with an eagerly
+  /// decoded network. A layer without one — the CSR-only kSparseCsr and
+  /// kCodebookCsr forms of a native-form store — runs through
+  /// serve::sparse_fc_forward, touching only surviving weights, at every
+  /// batch size; so do dense layers with a CSR copy once the session opted
+  /// in (enable_sparse_forward). Consecutive kernel layers share one kernel
+  /// call, so a chain may mix forms. The two paths agree to fp tolerance,
+  /// not bit-exactly (different summation order).
   tensor::Tensor infer(const tensor::Tensor& batch);
 
   /// Drops this session's layer pins; the next request re-fetches from the

@@ -5,6 +5,8 @@
 
 #include "baselines/codec_adapters.h"
 #include "obs/trace.h"
+#include "util/cpu.h"
+#include "util/crc32.h"
 #include "util/threadpool.h"
 #include "util/timer.h"
 
@@ -40,7 +42,77 @@ void trace_decode(const std::string& model, const std::string& layer_name,
                             layer.timing.reconstruct_ms);
 }
 
+/// Walks a layer's position deltas (the paper's index array) and calls
+/// fn(i, row, col) for stored entry i, in order. from_dense emits deltas
+/// >= 1, so positions strictly increase and a zero delta can only come from
+/// corruption; it throws, as does a position past rows x cols. The row and
+/// column advance incrementally (a delta is at most 255), never by division.
+template <class Fn>
+void walk_positions(std::span<const std::uint8_t> deltas, std::int64_t rows,
+                    std::int64_t cols, const std::string& name, Fn&& fn) {
+  if (!deltas.empty() && (rows <= 0 || cols <= 0)) {
+    throw std::runtime_error("ModelStore: index overruns matrix in " + name);
+  }
+  std::int64_t row = 0;
+  std::int64_t col = -1;
+  for (std::size_t i = 0; i < deltas.size(); ++i) {
+    if (deltas[i] == 0) {
+      throw std::runtime_error("ModelStore: zero position delta in " + name);
+    }
+    col += deltas[i];
+    while (col >= cols) {
+      col -= cols;
+      ++row;
+    }
+    if (row >= rows) {
+      throw std::runtime_error("ModelStore: index overruns matrix in " +
+                               name);
+    }
+    fn(i, row, col);
+  }
+}
+
+/// A layer without a dense matrix feeds its bias straight into the forward
+/// kernel, so a bias of the wrong length is unservable: hard error at decode
+/// (a dense decode still succeeds; load_compressed_model can keep a
+/// network's own bias instead).
+void check_kernel_bias(const ServedLayer& served) {
+  if (!served.bias.empty() &&
+      served.bias.size() != static_cast<std::size_t>(served.rows)) {
+    throw std::runtime_error(
+        "ModelStore: bias length " + std::to_string(served.bias.size()) +
+        " != rows " + std::to_string(served.rows) + " for " +
+        serving_form_name(served.form) + " layer " + served.name);
+  }
+}
+
 }  // namespace
+
+void fill_csr(const sparse::PrunedLayer& layer, ServedLayer& out) {
+  if (layer.data.size() != layer.index.size()) {
+    throw std::runtime_error("ModelStore: data/index length mismatch in " +
+                             layer.name);
+  }
+  out.csr_rowptr.assign(static_cast<std::size_t>(std::max<std::int64_t>(
+                            layer.rows, 0)) + 1,
+                        0);
+  out.csr_col.clear();
+  out.csr_val.clear();
+  // The stored entry count bounds the nonzero count.
+  out.csr_col.reserve(layer.data.size());
+  out.csr_val.reserve(layer.data.size());
+  walk_positions(layer.index, layer.rows, layer.cols, layer.name,
+                 [&](std::size_t i, std::int64_t row, std::int64_t col) {
+                   const float v = layer.data[i];
+                   if (v == 0.0f) return;  // filler, or a pruned-zero value
+                   out.csr_col.push_back(static_cast<std::uint32_t>(col));
+                   out.csr_val.push_back(v);
+                   ++out.csr_rowptr[static_cast<std::size_t>(row) + 1];
+                 });
+  for (std::size_t r = 1; r < out.csr_rowptr.size(); ++r) {
+    out.csr_rowptr[r] += out.csr_rowptr[r - 1];
+  }
+}
 
 /// Rendezvous for callers that requested a layer already being decoded.
 struct ModelStore::InFlight {
@@ -190,7 +262,7 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_now(
   }
   core::DecodeTiming timing;
   auto sparse_layer = reader_.decode_layer(entry_index, &timing);
-  return make_served_dense(entry_index, sparse_layer, timing);
+  return make_served(entry_index, sparse_layer, timing);
 }
 
 std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
@@ -198,16 +270,16 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
   const core::ContainerEntry& e = reader_.entry(entry_index);
   core::DecodeTiming timing;
 
-  // Warm hot-swap path: when the base layer is already resident in a dense
-  // form, rebuild the base's two-array representation from it — the dense
-  // matrix is an exact scatter of the data array at strictly-increasing
-  // positions, so gathering dense[pos_i] over the base's (cheap, lossless)
-  // index deltas is bit-exact — and apply the delta to that, skipping the
-  // base's error-bounded decode entirely. The record's base CRC pins verify
-  // the rebuilt arrays before the delta is applied. Walk kSame references
-  // down the chain to the full record that owns the index stream; a kDelta
-  // base or a codebook/non-resident base falls back to the cold full-chain
-  // decode below.
+  // Warm hot-swap path: when the base layer is already resident, rebuild the
+  // base's two-array representation from it and apply the delta to that,
+  // skipping the base's error-bounded decode entirely. Walking the base's
+  // (cheap, lossless) index deltas gathers dense[pos] from a dense matrix,
+  // or merges against the CSR entries, which hold exactly the positions
+  // whose value != 0.0f: a position the CSR omits reads as 0.0f. Only a
+  // -0.0f base entry can come back different, and the record's base CRC pin
+  // catches it; the swap then takes the cold decode below instead. Walk
+  // kSame references down the chain to the full record that owns the index
+  // stream; a kDelta base or a non-resident base also decodes cold.
   if (options_.base_store) {
     auto resident = options_.base_store->peek(e.name);
     const core::ContainerReader* br = &options_.base_store->reader();
@@ -215,48 +287,60 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
            br->entry(e.name).kind == core::LayerKind::kSame && br->base()) {
       br = br->base();
     }
-    if (resident && !resident->dense.empty() && br->contains(e.name) &&
+    if (resident && (resident->has_csr() || !resident->dense.empty()) &&
+        br->contains(e.name) &&
         br->entry(e.name).kind == core::LayerKind::kFull) {
+      const ServedLayer& base = *resident;
       auto deltas =
           br->decode_index_stream(br->index_of(e.name), &timing.lossless_ms);
-      const std::uint64_t total =
-          static_cast<std::uint64_t>(resident->rows) *
-          static_cast<std::uint64_t>(resident->cols);
+      util::WallTimer rebuild_timer;
       sparse::PrunedLayer base_layer;
       base_layer.name = e.name;
-      base_layer.rows = resident->rows;
-      base_layer.cols = resident->cols;
+      base_layer.rows = base.rows;
+      base_layer.cols = base.cols;
       base_layer.data.reserve(deltas.size());
-      std::int64_t pos = -1;
-      for (std::uint8_t d : deltas) {
-        if (d == 0) {
-          throw std::runtime_error("ModelStore: zero position delta in " +
-                                   e.name);
-        }
-        pos += d;
-        if (static_cast<std::uint64_t>(pos) >= total) {
-          throw std::runtime_error("ModelStore: index overruns matrix in " +
-                                   e.name);
-        }
-        base_layer.data.push_back(
-            resident->dense[static_cast<std::size_t>(pos)]);
+      std::size_t nz = 0;
+      bool omitted = false;  // some position read as 0.0f off the CSR
+      walk_positions(deltas, base.rows, base.cols, e.name,
+                     [&](std::size_t, std::int64_t row, std::int64_t col) {
+                       float v = 0.0f;
+                       if (!base.dense.empty()) {
+                         v = base.dense[static_cast<std::size_t>(
+                             row * base.cols + col)];
+                       } else if (nz < base.csr_rowptr[static_cast<
+                                           std::size_t>(row) + 1] &&
+                                  base.csr_col[nz] == col) {
+                         v = base.csr_weight(nz++);
+                       } else {
+                         omitted = true;
+                       }
+                       base_layer.data.push_back(v);
+                     });
+      // apply_delta verifies the pin as well, but throws on a miss; only an
+      // omitted position can miss it, so only then is it checked here.
+      const auto* data_bytes =
+          reinterpret_cast<const std::uint8_t*>(base_layer.data.data());
+      if (!omitted ||
+          util::crc32({data_bytes, base_layer.data.size() * sizeof(float)}) ==
+              e.base_data_crc) {
+        timing.reconstruct_ms += rebuild_timer.millis();
+        base_layer.index = std::move(deltas);
+        core::DecodeTiming apply_timing;
+        auto sparse_layer =
+            reader_.apply_delta(entry_index, base_layer, &apply_timing);
+        timing.lossless_ms += apply_timing.lossless_ms;
+        timing.sz_ms += apply_timing.sz_ms;
+        timing.reconstruct_ms += apply_timing.reconstruct_ms;
+        return make_served(entry_index, sparse_layer, timing);
       }
-      base_layer.index = std::move(deltas);
-      core::DecodeTiming apply_timing;
-      auto sparse_layer =
-          reader_.apply_delta(entry_index, base_layer, &apply_timing);
-      timing.lossless_ms += apply_timing.lossless_ms;
-      timing.sz_ms += apply_timing.sz_ms;
-      timing.reconstruct_ms += apply_timing.reconstruct_ms;
-      return make_served_dense(entry_index, sparse_layer, timing);
     }
   }
 
   auto sparse_layer = reader_.decode_layer(entry_index, &timing);
-  return make_served_dense(entry_index, sparse_layer, timing);
+  return make_served(entry_index, sparse_layer, timing);
 }
 
-std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
+std::shared_ptr<const ServedLayer> ModelStore::make_served(
     std::size_t entry_index, const sparse::PrunedLayer& sparse_layer,
     core::DecodeTiming timing) {
   auto served = std::make_shared<ServedLayer>();
@@ -264,31 +348,25 @@ std::shared_ptr<const ServedLayer> ModelStore::make_served_dense(
   served->name = sparse_layer.name;
   served->rows = sparse_layer.rows;
   served->cols = sparse_layer.cols;
-  served->dense = sparse_layer.to_dense();
   served->bias = reader_.decode_bias(entry_index);
-  if (options_.build_csr) {
-    // CSR view for the sparse batched forward; pruned entries are exact
-    // zeros in the decoded dense form, so a scan reproduces the sparsity.
-    // The decoded data array bounds the nonzero count.
-    served->csr_rowptr.reserve(static_cast<std::size_t>(served->rows) + 1);
-    served->csr_col.reserve(sparse_layer.data.size());
-    served->csr_val.reserve(sparse_layer.data.size());
-    served->csr_rowptr.push_back(0);
-    for (std::int64_t r = 0; r < served->rows; ++r) {
-      const float* row = served->dense.data() + r * served->cols;
-      for (std::int64_t c = 0; c < served->cols; ++c) {
-        if (row[c] != 0.0f) {
-          served->csr_col.push_back(static_cast<std::uint32_t>(c));
-          served->csr_val.push_back(row[c]);
-        }
-      }
-      served->csr_rowptr.push_back(
-          static_cast<std::uint32_t>(served->csr_col.size()));
-    }
+  // A native-form store serves a pruned layer as CSR only, built straight
+  // from the two arrays; the dense matrix is never materialized. Layers
+  // denser than the crossover (unpruned checkpoints) stay dense-only, and
+  // so does every layer on a host without the AVX2 kernel.
+  const double total = static_cast<double>(sparse_layer.rows) *
+                       static_cast<double>(sparse_layer.cols);
+  const bool csr_only =
+      options_.native_form && util::have_avx2_fma() && total > 0.0 &&
+      static_cast<double>(sparse_layer.data.size()) / total <=
+          kSparseCsrMaxDensity;
+  if (!csr_only) served->dense = sparse_layer.to_dense();
+  if (csr_only || (options_.build_csr && !options_.native_form)) {
+    fill_csr(sparse_layer, *served);
   }
-  timing.reconstruct_ms += timer.millis();
   served->form = served->has_csr() ? ServingForm::kSparseCsr
                                    : ServingForm::kDenseF32;
+  if (csr_only) check_kernel_bias(*served);
+  timing.reconstruct_ms += timer.millis();
   served->timing = timing;
   return served;
 }
@@ -319,26 +397,11 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
   served->cols = e.cols;
   served->codebook = std::move(q.codebook);
   served->bias = reader_.decode_bias(entry_index);
-  // A codebook layer feeds its bias straight into the forward kernel with no
-  // dense fallback, so a bias of the wrong length is unservable — hard error
-  // here (a dense decode still succeeds: load_compressed_model can keep a
-  // network's own bias instead).
-  if (!served->bias.empty() &&
-      served->bias.size() != static_cast<std::size_t>(e.rows)) {
-    throw std::runtime_error("ModelStore: bias length " +
-                             std::to_string(served->bias.size()) +
-                             " != rows " + std::to_string(e.rows) +
-                             " for codebook layer " + e.name);
-  }
+  check_kernel_bias(*served);
 
-  // Walk the deltas exactly like PrunedLayer::to_dense, keeping an entry iff
-  // its centroid is nonzero — the same set the dense->CSR scan keeps, so the
-  // codebook form is bit-identical in content to the kSparseCsr view of the
-  // same layer. from_dense emits deltas >= 1, so positions are strictly
-  // increasing and a delta of 0 can only come from corruption.
-  const std::uint64_t total = static_cast<std::uint64_t>(e.rows) *
-                              static_cast<std::uint64_t>(e.cols);
-  const std::uint64_t cols = static_cast<std::uint64_t>(e.cols);
+  // Keep an entry iff its centroid is nonzero: the same set fill_csr keeps
+  // from the f32 decode, so the codebook form is bit-identical in content
+  // to the kSparseCsr form of the same layer.
   const bool narrow = served->codebook.size() <= 256;
   served->csr_rowptr.assign(static_cast<std::size_t>(e.rows) + 1, 0);
   served->csr_col.reserve(deltas.size());
@@ -347,27 +410,20 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_codebook_now(
   } else {
     served->csr_id16.reserve(deltas.size());
   }
-  std::int64_t pos = -1;
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    if (deltas[i] == 0) {
-      throw std::runtime_error("ModelStore: zero position delta in " + e.name);
-    }
-    pos += deltas[i];
-    if (static_cast<std::uint64_t>(pos) >= total) {
-      throw std::runtime_error("ModelStore: index overruns matrix in " +
-                               e.name);
-    }
-    const std::uint32_t id = q.ids[i];
-    if (served->codebook[id] == 0.0f) continue;  // filler or zero centroid
-    const auto p = static_cast<std::uint64_t>(pos);
-    served->csr_col.push_back(static_cast<std::uint32_t>(p % cols));
-    if (narrow) {
-      served->csr_id8.push_back(static_cast<std::uint8_t>(id));
-    } else {
-      served->csr_id16.push_back(static_cast<std::uint16_t>(id));
-    }
-    ++served->csr_rowptr[static_cast<std::size_t>(p / cols) + 1];
-  }
+  walk_positions(deltas, e.rows, e.cols, e.name,
+                 [&](std::size_t i, std::int64_t row, std::int64_t col) {
+                   const std::uint32_t id = q.ids[i];
+                   // filler or zero centroid
+                   if (served->codebook[id] == 0.0f) return;
+                   served->csr_col.push_back(static_cast<std::uint32_t>(col));
+                   if (narrow) {
+                     served->csr_id8.push_back(static_cast<std::uint8_t>(id));
+                   } else {
+                     served->csr_id16.push_back(
+                         static_cast<std::uint16_t>(id));
+                   }
+                   ++served->csr_rowptr[static_cast<std::size_t>(row) + 1];
+                 });
   for (std::size_t r = 1; r < served->csr_rowptr.size(); ++r) {
     served->csr_rowptr[r] += served->csr_rowptr[r - 1];
   }

@@ -6,7 +6,7 @@
 // every layer's codec cost onto the first request and re-pays it whenever a
 // model is reloaded. ModelStore instead decodes layers on first use through
 // core::ContainerReader's seekable index and memoizes the inference-ready
-// (dense) form behind an LRU cache with a byte budget:
+// form (dense, CSR or codebook-CSR) behind an LRU cache with a byte budget:
 //
 //   - get() on a cached layer is a map lookup (zero codec work);
 //   - concurrent get() of distinct layers decode in parallel (the lock is
@@ -39,18 +39,20 @@ struct ModelStoreOptions {
   /// Cache budget over ServedLayer::bytes(). Layers larger than the whole
   /// budget are still served (decoded, returned, dropped immediately).
   std::size_t cache_budget_bytes = 256ull << 20;
-  /// Build each layer's CSR view at decode time (ServedLayer::csr_*), the
-  /// input of serve::sparse_fc_forward. Off by default — it costs ~8 bytes
-  /// per surviving weight of cache footprint — and turned on by the serving
-  /// daemon's ModelRepository, whose scheduler runs the sparse batched path.
+  /// Keep a CSR copy (ServedLayer::csr_*) next to each layer's dense matrix,
+  /// the input of serve::sparse_fc_forward for a session opted into the
+  /// kernel. Off by default, and ignored by a native_form store (which picks
+  /// one form per layer). Only perfbench's traced probe still sets it: it
+  /// runs the dense GEMM on the same layers it hands the kernel.
   bool build_csr = false;
-  /// Decode each layer into its data-codec's native serving form
-  /// (serve/serving_form.h) instead of always inflating to dense f32. With
-  /// this on, a "dc"-coded layer becomes a kCodebookCsr entry — CSR
-  /// structure over u8/u16 codebook ids plus the f32 codebook, ~4-5
-  /// bits/weight resident instead of 32 — and codecs without a compressed-
-  /// domain form decode exactly as before. Off by default; turned on by
-  /// ModelRepository, whose forward paths dispatch on ServedLayer::form.
+  /// Decode each layer into its native serving form (serve/serving_form.h)
+  /// instead of always inflating to dense f32: a "dc"-coded layer becomes a
+  /// kCodebookCsr entry (CSR structure over u8/u16 codebook ids plus the f32
+  /// codebook, ~4-5 bits/weight resident instead of 32), a pruned layer at
+  /// or below kSparseCsrMaxDensity becomes a CSR-only kSparseCsr entry built
+  /// straight from its two arrays (on hosts with the AVX2 kernel), and any
+  /// other layer is dense-only kDenseF32. Off by default; turned on by
+  /// ModelRepository, whose sessions dispatch on ServedLayer::form.
   bool native_form = false;
   /// Optional process-wide budget shared with other stores (one per serving
   /// daemon; see serve/cache_budget.h). The per-store budget above still
@@ -69,7 +71,8 @@ struct ModelStoreOptions {
   /// lifetime, so unloading the base elsewhere never invalidates this store.
   /// kSame layers forward get()/peek() to the base store (shared residency,
   /// no double-charge); kDelta layers reconstruct warm against the base's
-  /// resident dense form when possible, else cold through the full chain.
+  /// resident layer (dense or CSR) when possible, else cold through the full
+  /// chain.
   std::shared_ptr<ModelStore> base_store;
 };
 
@@ -78,10 +81,11 @@ struct ModelStoreOptions {
 /// which of the three serving forms (serve/serving_form.h) the layer holds:
 ///
 ///   kDenseF32    — `dense` populated; CSR arrays empty.
-///   kSparseCsr   — `dense` plus a CSR view (csr_rowptr/csr_col/csr_val) of
-///                  the pruned weights (~85% exact zeros after DeepSZ
-///                  pruning), which serve::sparse_fc_forward uses to run
-///                  batched requests touching only the surviving weights.
+///   kSparseCsr   — a CSR view (csr_rowptr/csr_col/csr_val) of the pruned
+///                  weights (~85% exact zeros after DeepSZ pruning), which
+///                  serve::sparse_fc_forward runs touching only the
+///                  surviving weights. `dense` is empty in a native_form
+///                  store; only ModelStoreOptions::build_csr keeps it too.
 ///   kCodebookCsr — compressed-domain: the same CSR structure, but the
 ///                  per-nonzero payload is a codebook id (csr_id8 when the
 ///                  codebook has <= 256 entries, csr_id16 otherwise) and
@@ -93,7 +97,7 @@ struct ServedLayer {
   std::string name;
   std::int64_t rows = 0;
   std::int64_t cols = 0;
-  std::vector<float> dense;  // row-major [rows x cols]; empty for codebook
+  std::vector<float> dense;  // row-major [rows x cols]; empty when CSR-only
   std::vector<float> bias;   // empty when the container stores none
   // CSR structure (both CSR forms): row j's nonzeros occupy positions
   // [csr_rowptr[j], csr_rowptr[j+1]) of csr_col and of the payload array —
@@ -136,6 +140,15 @@ struct ServedLayer {
            csr_id16.capacity() * sizeof(std::uint16_t) + name.size();
   }
 };
+
+/// Builds out's csr_rowptr/csr_col/csr_val straight from a decoded
+/// two-array layer, in one walk over its position deltas. An entry is kept
+/// iff its value != 0.0f, so a filler whose error-bounded reconstruction is
+/// nonzero stays in and a -0.0f entry drops out: exactly the entries a
+/// row-major scan of layer.to_dense() keeps, in the same order. Throws
+/// std::runtime_error on a data/index length mismatch, a zero position
+/// delta, or an index past rows x cols.
+void fill_csr(const sparse::PrunedLayer& layer, ServedLayer& out);
 
 /// Cache counters. hits/misses/coalesced count get() outcomes; decode_ms is
 /// the cumulative codec time paid by misses (zero in a warm steady state),
@@ -227,7 +240,7 @@ class ModelStore {
       std::size_t entry_index) DEEPSZ_EXCLUDES(mu_);
   std::shared_ptr<const ServedLayer> decode_delta_now(std::size_t entry_index)
       DEEPSZ_EXCLUDES(mu_);
-  std::shared_ptr<const ServedLayer> make_served_dense(
+  std::shared_ptr<const ServedLayer> make_served(
       std::size_t entry_index, const sparse::PrunedLayer& sparse_layer,
       core::DecodeTiming timing) DEEPSZ_EXCLUDES(mu_);
   void insert_and_evict_locked(const std::string& name,

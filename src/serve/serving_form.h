@@ -8,18 +8,23 @@
 //
 //   kDenseF32     dense row-major f32 matrix — the universal fallback; what
 //                 the session's dense GEMM walk reads.
-//   kSparseCsr    dense matrix plus a CSR view (rowptr/col/val) of the
-//                 surviving weights — what the sparse batched forward runs.
+//   kSparseCsr    CSR arrays (rowptr/col/val) of the surviving weights, built
+//                 straight from the decoded two-array form — what the sparse
+//                 forward kernel runs. No dense matrix, except in a store
+//                 with ModelStoreOptions::build_csr, which keeps a dense side
+//                 copy for perfbench's dense probe.
 //   kCodebookCsr  compressed-domain: CSR structure whose per-nonzero payload
 //                 is a u8/u16 codebook id instead of an f32, plus the k-entry
 //                 f32 codebook. No dense matrix is ever materialized, so the
 //                 layer stays resident at ~4-5 bits/weight instead of 32.
 //
-// Which form a layer decodes into is decided per data-codec: a codec whose
-// encoded representation is already a (codebook, ids) pair — "dc" — has
-// kCodebookCsr as its native form, and a ModelStore opted into native forms
-// (ModelStoreOptions::native_form) decodes it straight into that layout.
-// Strategies declare the same thing at the API level through
+// A store opted into native forms (ModelStoreOptions::native_form, the
+// serving daemon's store) picks one form per layer at decode time: a codec
+// whose encoded representation is already a (codebook, ids) pair — "dc" —
+// decodes straight into kCodebookCsr; any other layer is kSparseCsr when its
+// stored-entry density is at or below kSparseCsrMaxDensity and the host runs
+// the AVX2 kernel, and kDenseF32 otherwise (unpruned checkpoints).
+// Strategies declare their codec's form at the API level through
 // compress::CompressorInfo::native_form.
 #pragma once
 
@@ -47,6 +52,15 @@ inline const char* serving_form_name(ServingForm form) {
   }
   return "unknown";
 }
+
+/// Stored entries / (rows x cols) at or below which a native-form store
+/// serves a layer CSR-only. Measured on the paper's fc shapes (AVX2 CSR
+/// kernel vs dense GEMM, batch 1 and 16): the kernel reaches parity between
+/// densities 0.25 and 0.3 on AlexNet fc6/fc7/fc8 and is 1.2-2x slower from
+/// 0.35 up, while the CSR arrays (8 bytes per nonzero) stay 40% smaller
+/// than the dense matrix at 0.3. Every pruned zoo layer (at most 26% kept)
+/// falls below it.
+inline constexpr double kSparseCsrMaxDensity = 0.3;
 
 /// The compressed-domain serving form a container data-codec spec can be
 /// decoded into without inflating to dense f32, or kDenseF32 when the codec

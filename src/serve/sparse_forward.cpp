@@ -145,19 +145,6 @@ void layer_forward_codebook_scalar(const ServedLayer& layer, const float* xt,
 
 }  // namespace
 
-bool sparse_forward_profitable(std::int64_t batch_rows) {
-#ifdef DEEPSZ_X86_DISPATCH
-  // Below ~4 rows the dense register-blocked GEMM wins (the transposes and
-  // per-nonzero broadcasts do not amortize); above it the CSR walk touching
-  // only ~15% of the weights takes over. Scalar hosts always stay dense:
-  // an unvectorized CSR walk is slower than the vectorized dense kernel.
-  return batch_rows >= 4 && have_avx2_fma();
-#else
-  (void)batch_rows;
-  return false;
-#endif
-}
-
 tensor::Tensor sparse_fc_forward(
     const std::vector<std::shared_ptr<const ServedLayer>>& layers,
     const tensor::Tensor& x, ForwardBackend backend) {
@@ -194,7 +181,7 @@ tensor::Tensor sparse_fc_forward(
     if (!layer->has_csr()) {
       throw std::invalid_argument(
           "sparse_fc_forward: layer \"" + layer->name +
-          "\" has no CSR view (decode with ModelStoreOptions::build_csr)");
+          "\" has no CSR view (decode with ModelStoreOptions::native_form)");
     }
   }
 

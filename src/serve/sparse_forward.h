@@ -3,7 +3,7 @@
 // DeepSZ's decoded model IS a sparse model: after pruning, ~85-95% of every
 // fc matrix is exact zeros, and the dense GEMM the generic forward runs
 // spends most of its FLOPs multiplying them. sparse_fc_forward instead
-// walks each layer's CSR view (built once at decode, see ServedLayer) and,
+// walks each layer's CSR arrays (built once at decode, see ServedLayer) and,
 // for a batch of M rows, works in the transposed domain — activations are
 // held as xT[features][M], so one weight nonzero issues M contiguous
 // multiply-accumulates. The batch is transposed once on entry and once on
@@ -36,10 +36,6 @@
 #include "tensor/tensor.h"
 
 namespace deepsz::serve {
-
-/// True when this build+host can run the vectorized sparse path and the
-/// batch is large enough for it to beat the dense kernel.
-bool sparse_forward_profitable(std::int64_t batch_rows);
 
 /// Kernel selection for sparse_fc_forward. kAuto picks the AVX2+FMA kernels
 /// when the host supports them and the scalar reference otherwise; the

@@ -31,10 +31,9 @@ serve::ModelStoreOptions ModelRepository::serving_options(
   opts.shared_budget = budget_;
   // Per-store budgets off: eviction pressure is purely cross-model.
   opts.cache_budget_bytes = static_cast<std::size_t>(-1);
-  // The scheduler's worker sessions run the sparse batched forward.
-  opts.build_csr = true;
-  // Serve each layer in its data-codec's native form: "dc" containers stay
-  // resident as codebook-CSR (~4-5 bits/weight) instead of inflating to f32.
+  // Serve each layer in its native form: "dc" containers stay resident as
+  // codebook-CSR (~4-5 bits/weight), pruned layers as CSR only, and only
+  // dense layers inflate to f32.
   opts.native_form = true;
   // Decode spans and stage histograms attribute to the serving name.
   opts.trace_label = trace_label;

@@ -33,10 +33,9 @@ struct RequestScheduler::WorkerState {
   std::unique_ptr<serve::InferenceSession> session;
 
   void bind(std::shared_ptr<const ServedModel> next) {
+    // The repository's native-form store serves pruned layers CSR-only, so
+    // the session runs them through the sparse kernel at every batch size.
     session = std::make_unique<serve::InferenceSession>(*next->store);
-    // Serving workers take the sparse batched forward: micro-batches run
-    // over the CSR view, touching only non-pruned weights.
-    session->enable_sparse_forward(true);
     model = std::move(next);
   }
 };

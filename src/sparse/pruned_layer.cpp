@@ -38,6 +38,11 @@ std::vector<float> PrunedLayer::to_dense() const {
   std::vector<float> dense(static_cast<std::size_t>(rows * cols), 0.0f);
   std::int64_t pos = -1;
   for (std::size_t i = 0; i < data.size(); ++i) {
+    // from_dense emits deltas >= 1; a zero delta is corruption (it would
+    // overwrite the previous entry, or land before the matrix).
+    if (index[i] == 0) {
+      throw std::runtime_error("PrunedLayer: zero position delta");
+    }
     pos += index[i];
     if (pos >= rows * cols) {
       throw std::runtime_error("PrunedLayer: index overruns matrix");

@@ -50,7 +50,8 @@ struct PrunedLayer {
                                 std::int64_t rows, std::int64_t cols,
                                 std::string name = {});
 
-  /// Reconstructs the dense row-major matrix.
+  /// Reconstructs the dense row-major matrix. Throws std::runtime_error on
+  /// a data/index length mismatch, a zero delta, or an index past the end.
   std::vector<float> to_dense() const;
 
   /// Returns a copy with `data` replaced (e.g. by SZ-decompressed values);

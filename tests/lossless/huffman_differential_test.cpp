@@ -276,23 +276,29 @@ TEST(HuffmanDifferential, IncompleteCodesRejectUnfilledPrefixes) {
 }
 
 TEST(HuffmanDifferential, OverSubscribedCodesMatchTheWalk) {
-  // Corrupt tables can list more codes than the code space holds; the
-  // canonical codes of the later lengths then run past 2^length, where the
-  // walk never matches them. The lookup table must not let them alias onto
-  // prefixes that shorter codes own.
+  // Corrupt tables can list more codes than the code space holds (Kraft sum
+  // above 1); their canonical codes would run past 2^length and alias onto
+  // prefixes shorter codes own. Both decoders reject such a table before
+  // decoding anything, with the same error.
   util::Pcg32 rng(11);
   const std::vector<std::pair<std::uint32_t, Pairs>> tables = {
       {4, {{0, 1}, {1, 1}, {2, 1}, {3, 2}}},
       {8, {{0, 1}, {1, 2}, {2, 2}, {3, 2}, {4, 3}}},
       {64, {{0, 3}, {1, 3}, {2, 3}, {3, 3}, {4, 3}, {5, 3}, {6, 3}, {7, 3},
             {8, 3}, {9, 12}, {10, 14}}},
+      // A complete code plus one 24-bit code: over by 2^-24.
+      {64, {{0, 1}, {1, 1}, {2, 24}}},
   };
   for (std::size_t t = 0; t < tables.size(); ++t) {
     const auto& [alphabet, codes] = tables[t];
     for (int trial = 0; trial < 20; ++trial) {
-      expect_same(table_stream(alphabet, codes, rng, 4), 64, alphabet,
-                  "table " + std::to_string(t) + " trial " +
-                      std::to_string(trial));
+      const auto bytes = table_stream(alphabet, codes, rng, 4);
+      const std::string what =
+          "table " + std::to_string(t) + " trial " + std::to_string(trial);
+      expect_same(bytes, 64, alphabet, what);
+      EXPECT_EQ(decode_each<HuffmanDecoder>(bytes, 64, alphabet).error,
+                "HuffmanDecoder: over-subscribed code table")
+          << what;
     }
   }
 }

@@ -1,7 +1,8 @@
 // Test-only reference for lossless::HuffmanDecoder: the bit-serial canonical
 // decoder the lookup table replaced. It reads the same serialized code book
 // with the same checks, builds the per-length first-code / offset / count
-// arrays, and decodes by reading one bit per read_bit() call, walking the
+// arrays (rejecting an over-subscribed code, Kraft sum > 1, as the decoder
+// does), and decodes by reading one bit per read_bit() call, walking the
 // code lengths until the accumulated code falls inside a length's range.
 // Symbols, consumed bits and error messages are what the table-driven
 // decoder must reproduce.
@@ -83,6 +84,13 @@ class BitSerialHuffmanDecoder {
     for (const auto& c : codes) {
       ++count_[c.length];
       sorted_symbols_.push_back(c.symbol);
+    }
+    std::uint64_t kraft = 0;
+    for (int l = 1; l <= max_len_; ++l) {
+      kraft += std::uint64_t{count_[l]} << (max_len_ - l);
+    }
+    if (kraft > std::uint64_t{1} << max_len_) {
+      throw std::runtime_error("HuffmanDecoder: over-subscribed code table");
     }
     first_code_.assign(max_len_ + 1, 0);
     offset_.assign(max_len_ + 1, 0);

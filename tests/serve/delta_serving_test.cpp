@@ -19,7 +19,9 @@
 #include "serve/inference_session.h"
 #include "serve/model_store.h"
 #include "server/model_repository.h"
+#include "tests/counting_codec.h"
 #include "tests/server/test_containers.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace deepsz::server {
@@ -29,8 +31,8 @@ using testing::tiny_container;
 
 // The same 32 -> 24 -> 16 stack test_containers builds, with every weight
 // nudged (sparsity pattern intact) — a stand-in fine-tuned successor.
-std::vector<std::uint8_t> tiny_successor(std::uint64_t seed = 7,
-                                         double scale = 2e-3) {
+std::vector<sparse::PrunedLayer> tiny_successor_layers(std::uint64_t seed,
+                                                       double scale) {
   const std::vector<std::int64_t> dims = {32, 24, 16};
   std::vector<sparse::PrunedLayer> layers;
   for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
@@ -41,7 +43,24 @@ std::vector<std::uint8_t> tiny_successor(std::uint64_t seed = 7,
   for (auto& l : layers) {
     for (auto& v : l.data) v += static_cast<float>(rng.normal(0.0, scale));
   }
-  return core::encode_model(layers, {}, core::ContainerOptions{}).bytes;
+  return layers;
+}
+
+std::vector<std::uint8_t> tiny_successor(std::uint64_t seed = 7,
+                                         double scale = 2e-3) {
+  return core::encode_model(tiny_successor_layers(seed, scale), {},
+                            core::ContainerOptions{})
+      .bytes;
+}
+
+/// Encodes with lossless f32 data streams, so the decoded values are exactly
+/// the given ones (-0.0f included); `data_codec` may name a counting codec.
+std::vector<std::uint8_t> f32_container(
+    const std::vector<sparse::PrunedLayer>& layers,
+    const std::string& data_codec = "f32") {
+  core::ContainerOptions copts;
+  copts.data_codec = data_codec;
+  return core::encode_model(layers, {}, copts).bytes;
 }
 
 std::vector<std::uint8_t> tiny_delta(const std::vector<std::uint8_t>& base,
@@ -60,24 +79,37 @@ void write_file(const std::string& path,
   std::fclose(f);
 }
 
+void expect_bits_equal(const std::vector<float>& got,
+                       const std::vector<float>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << what << " bits differ";
+}
+
 void expect_layers_bit_equal(serve::ModelStore& got, serve::ModelStore& want,
                              const std::string& name) {
   auto g = got.get(name);
   auto w = want.get(name);
-  ASSERT_EQ(g->dense.size(), w->dense.size()) << name;
-  EXPECT_EQ(std::memcmp(g->dense.data(), w->dense.data(),
-                        g->dense.size() * sizeof(float)),
-            0)
-      << name << ": dense bits differ";
+  EXPECT_EQ(g->form, w->form) << name;
+  expect_bits_equal(g->dense, w->dense, name + ": dense");
   EXPECT_EQ(g->bias, w->bias) << name;
   EXPECT_EQ(g->csr_rowptr, w->csr_rowptr) << name;
   EXPECT_EQ(g->csr_col, w->csr_col) << name;
-  EXPECT_EQ(g->csr_val, w->csr_val) << name;
+  expect_bits_equal(g->csr_val, w->csr_val, name + ": csr_val");
 }
 
 serve::ModelStoreOptions csr_options() {
   serve::ModelStoreOptions opts;
   opts.build_csr = true;
+  return opts;
+}
+
+// The repository's stores: pruned layers CSR-only, no dense matrix.
+serve::ModelStoreOptions native_options() {
+  serve::ModelStoreOptions opts;
+  opts.native_form = true;
   return opts;
 }
 
@@ -139,6 +171,75 @@ TEST(DeltaStore, WarmAndColdDeltaDecodeMatchDirectLoad) {
   }
 }
 
+// The repository's native-form stores serve the tiny layers CSR-only (on
+// hosts with the AVX2 kernel), so a warm swap rebuilds the base arrays by
+// merging the base's index positions with its CSR entries. The base's data
+// streams go through a counting codec: a warm swap never decodes them
+// again, a cold one decodes each once through the chain.
+TEST(DeltaStore, NativeWarmSwapMatchesDirectLoadWithoutBaseDecode) {
+  auto& decodes =
+      deepsz::testing::register_counting_float_codec("countf32-warm");
+  const auto base_bytes =
+      f32_container(tiny_successor_layers(7, 0.0), "countf32-warm");
+  const auto target_bytes = f32_container(tiny_successor_layers(7, 2e-3));
+  const auto delta = tiny_delta(base_bytes, target_bytes);
+  for (const char* name : {"fc1", "fc2"}) {
+    ASSERT_EQ(core::ContainerReader(delta).entry(name).kind,
+              core::LayerKind::kDelta)
+        << name;
+  }
+  serve::ModelStore direct(target_bytes, native_options());
+
+  for (const bool warm : {true, false}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    serve::ModelStoreOptions opts = native_options();
+    opts.base_store =
+        std::make_shared<serve::ModelStore>(base_bytes, native_options());
+    if (warm) {
+      opts.base_store->warmup(false);
+      const auto fc1 = opts.base_store->peek("fc1");
+      if (util::have_avx2_fma()) {
+        EXPECT_EQ(fc1->form, serve::ServingForm::kSparseCsr);
+        EXPECT_TRUE(fc1->dense.empty());
+      }
+    }
+    const int before = decodes.load();
+    serve::ModelStore store(delta, opts);
+    expect_layers_bit_equal(store, direct, "fc1");
+    expect_layers_bit_equal(store, direct, "fc2");
+    EXPECT_EQ(decodes.load() - before, warm ? 0 : 2);
+  }
+}
+
+// A -0.0f base entry is dropped from the CSR (value != 0.0f keeps it out),
+// so the merge rebuilds it as +0.0f and misses the record's base CRC pin.
+// The swap must still serve the target's exact bits, via the cold chain
+// decode, not fail.
+TEST(DeltaStore, NegativeZeroBaseEntryFallsBackToColdDecode) {
+  auto& decodes =
+      deepsz::testing::register_counting_float_codec("countf32-negzero");
+  auto base_layers = tiny_successor_layers(7, 0.0);
+  base_layers[0].data[3] = -0.0f;
+  const auto base_bytes = f32_container(base_layers, "countf32-negzero");
+  const auto target_bytes = f32_container(tiny_successor_layers(7, 2e-3));
+  const auto delta = tiny_delta(base_bytes, target_bytes);
+  ASSERT_EQ(core::ContainerReader(delta).entry("fc1").kind,
+            core::LayerKind::kDelta);
+
+  serve::ModelStoreOptions opts = native_options();
+  opts.base_store =
+      std::make_shared<serve::ModelStore>(base_bytes, native_options());
+  opts.base_store->warmup(false);
+  const int before = decodes.load();
+  serve::ModelStore store(delta, opts);
+  serve::ModelStore direct(target_bytes, native_options());
+  expect_layers_bit_equal(store, direct, "fc1");
+  // Only a CSR-only base loses the sign; a dense base gathers it back.
+  EXPECT_EQ(decodes.load() - before, util::have_avx2_fma() ? 1 : 0);
+  expect_layers_bit_equal(store, direct, "fc2");  // no -0.0f: warm
+  EXPECT_EQ(decodes.load() - before, util::have_avx2_fma() ? 1 : 0);
+}
+
 TEST(DeltaRepository, LoadWithExplicitHint) {
   ModelRepository repo;
   auto base_bytes = tiny_container();
@@ -195,7 +296,7 @@ TEST(DeltaRepository, ColdFileChainFallback) {
   EXPECT_GT(model->shipped_bytes, tip_delta.bytes.size());
 
   // Serves the tip's exact bits.
-  serve::ModelStore direct(tip_bytes, csr_options());
+  serve::ModelStore direct(tip_bytes, native_options());
   expect_layers_bit_equal(*model->store, direct, "fc1");
   expect_layers_bit_equal(*model->store, direct, "fc2");
 }
@@ -210,7 +311,7 @@ TEST(DeltaRepository, UnloadingBaseKeepsDeltaServing) {
   ASSERT_TRUE(repo.unload("prod"));
   // The delta snapshot holds the base store alive: both the same-forwarded
   // and delta-reconstructed layers keep serving.
-  serve::ModelStore direct(tiny_successor(), csr_options());
+  serve::ModelStore direct(tiny_successor(), native_options());
   expect_layers_bit_equal(*next->store, direct, "fc1");
   expect_layers_bit_equal(*next->store, direct, "fc2");
 }

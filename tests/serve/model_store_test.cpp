@@ -13,6 +13,7 @@
 #include "data/weight_synthesis.h"
 #include "serve/model_store.h"
 #include "tests/counting_codec.h"
+#include "util/cpu.h"
 
 namespace deepsz::serve {
 namespace {
@@ -361,21 +362,45 @@ TEST(ModelStore, FormBytesTrackEvictionAndReset) {
   }
 }
 
-TEST(ModelStore, NativeFormLeavesNonCodebookCodecsDense) {
-  // native_form only changes how codecs WITH a compressed-domain form are
-  // served; an "sz" container through the same store decodes to dense f32
-  // (or sparse-CSR with build_csr) exactly as before.
+TEST(ModelStore, NativeFormPicksCsrOnlyOrDenseByDensity) {
+  // A native-form store serves an "sz" layer pruned to 15% as CSR only —
+  // built straight from the two arrays, no dense matrix — on hosts with the
+  // AVX2 kernel, and an unpruned layer (every position stored) dense-only.
   auto layers = some_layers(1);
+  layers.push_back(
+      data::synthesize_pruned_layer("fc7", 64, 128, 1.0, 22));
   ModelStoreOptions opts;
   opts.native_form = true;
   auto bytes = encode(layers);
   ModelStore store(bytes, opts);
-  auto served = store.get("fc6");
-  EXPECT_EQ(served->form, ServingForm::kDenseF32);
-  EXPECT_EQ(served->dense, decoded_dense(bytes, 0));
-  EXPECT_TRUE(served->codebook.empty());
+
+  const auto pruned = store.get("fc6");
+  if (util::have_avx2_fma()) {
+    EXPECT_EQ(pruned->form, ServingForm::kSparseCsr);
+    EXPECT_TRUE(pruned->dense.empty());
+    ServedLayer want;
+    fill_csr(core::decode_model(bytes).layers[0], want);
+    EXPECT_EQ(pruned->csr_rowptr, want.csr_rowptr);
+    EXPECT_EQ(pruned->csr_col, want.csr_col);
+    EXPECT_EQ(pruned->csr_val, want.csr_val);
+    // 8 bytes per kept weight instead of 4 per matrix element.
+    EXPECT_LT(pruned->bytes(), 4u * 64 * 128 / 2);
+  } else {
+    EXPECT_EQ(pruned->form, ServingForm::kDenseF32);
+    EXPECT_EQ(pruned->dense, decoded_dense(bytes, 0));
+  }
+
+  const auto unpruned = store.get("fc7");
+  EXPECT_EQ(unpruned->form, ServingForm::kDenseF32);
+  EXPECT_EQ(unpruned->dense, decoded_dense(bytes, 1));
+  EXPECT_FALSE(unpruned->has_csr());
+  EXPECT_TRUE(unpruned->codebook.empty());
+
   auto stats = store.stats();
-  EXPECT_EQ(stats.form_resident(ServingForm::kDenseF32), stats.cached_bytes);
+  EXPECT_EQ(stats.form_resident(ServingForm::kDenseF32) +
+                stats.form_resident(ServingForm::kSparseCsr),
+            stats.cached_bytes);
+  EXPECT_EQ(stats.form_resident(ServingForm::kDenseF32), unpruned->bytes());
   EXPECT_EQ(stats.form_resident(ServingForm::kCodebookCsr), 0u);
 }
 

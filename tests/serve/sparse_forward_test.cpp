@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "data/weight_synthesis.h"
 #include "serve/inference_session.h"
 #include "serve/model_store.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace deepsz::serve {
@@ -149,11 +151,72 @@ TEST(SparseForward, SessionOptInUsesSparsePathForLargeBatches) {
   EXPECT_EQ(sparse_session.stats().requests, 2u);
 }
 
-TEST(SparseForward, ProfitabilityGate) {
-  // Batch 1 must never take the sparse path (it would be slower); the
-  // AVX2-only answer for larger batches depends on the host.
-  EXPECT_FALSE(sparse_forward_profitable(1));
-  EXPECT_FALSE(sparse_forward_profitable(3));
+TEST(SparseForward, MixedFormChainServesLayerByLayer) {
+  // fc2 is kept at 60%, above the CSR crossover: a native-form store serves
+  // fc1 and fc3 CSR-only and fc2 dense-only, and the session runs the chain
+  // layer by layer (kernel, GEMM, kernel) with ReLU between them.
+  std::vector<sparse::PrunedLayer> layers;
+  layers.push_back(data::synthesize_pruned_layer("fc1", 24, 32, 0.2, 311));
+  layers.push_back(data::synthesize_pruned_layer("fc2", 16, 24, 0.6, 312));
+  layers.push_back(data::synthesize_pruned_layer("fc3", 5, 16, 0.2, 313));
+  std::map<std::string, std::vector<float>> biases;
+  util::Pcg32 rng(10);
+  for (const auto& l : layers) {
+    auto& b = biases[l.name];
+    for (std::int64_t j = 0; j < l.rows; ++j) {
+      b.push_back(static_cast<float>(rng.normal(0.0, 0.1)));
+    }
+  }
+  const auto bytes = core::encode_model(layers, {}, {}, biases).bytes;
+  ModelStoreOptions opts;
+  opts.native_form = true;
+  ModelStore native(bytes, opts);
+  ModelStore dense(bytes);
+  InferenceSession mixed_session(native);
+  InferenceSession dense_session(dense);
+
+  for (std::int64_t rows : {1, 3, 16}) {
+    auto x = random_batch(rows, 32, 700u + static_cast<std::uint64_t>(rows));
+    auto expect = dense_session.infer(x);
+    auto got = mixed_session.infer(x);
+    ASSERT_EQ(got.dim(0), rows);
+    ASSERT_EQ(got.dim(1), 5);
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+      EXPECT_NEAR(got[i], expect[i], 1e-4) << "rows=" << rows << " i=" << i;
+    }
+  }
+  if (util::have_avx2_fma()) {
+    EXPECT_EQ(native.get("fc1")->form, ServingForm::kSparseCsr);
+    EXPECT_TRUE(native.get("fc1")->dense.empty());
+    EXPECT_EQ(native.get("fc2")->form, ServingForm::kDenseF32);
+    EXPECT_EQ(native.get("fc3")->form, ServingForm::kSparseCsr);
+  }
+  EXPECT_EQ(mixed_session.stats().layer_installs, 3u);
+}
+
+TEST(SparseForward, OptedInSessionRunsKernelAtEveryBatchSize) {
+  // On an AVX2 host an opted-in session takes the kernel even at batch 1:
+  // its output is the kernel's, bit for bit. Without AVX2 it keeps the
+  // dense walk, bit-exact with a session that never opted in.
+  auto bytes = chained_container(true);
+  ModelStore store(bytes, with_csr());
+  std::vector<std::shared_ptr<const ServedLayer>> chain = {
+      store.get("fc1"), store.get("fc2"), store.get("fc3")};
+  InferenceSession dense_session(store);
+  InferenceSession sparse_session(store);
+  sparse_session.enable_sparse_forward(true);
+  for (std::int64_t rows : {1, 2, 3, 16}) {
+    auto x = random_batch(rows, 32, 600u + static_cast<std::uint64_t>(rows));
+    const auto want = util::have_avx2_fma() ? sparse_fc_forward(chain, x)
+                                            : dense_session.infer(x);
+    const auto got = sparse_session.infer(x);
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << "rows=" << rows;
+  }
 }
 
 }  // namespace

@@ -43,6 +43,13 @@ std::vector<std::uint8_t> nudged_successor(std::uint64_t seed, double scale) {
   return core::encode_model(layers, {}, core::ContainerOptions{}).bytes;
 }
 
+// A weight the layer really holds, whichever form the repository's store
+// decoded it into: dense (first element) or CSR (first nonzero).
+float first_weight(const serve::ServedLayer& layer) {
+  if (!layer.dense.empty()) return layer.dense[0];
+  return layer.nnz() > 0 ? layer.csr_weight(0) : 0.0f;
+}
+
 TEST(DeltaStress, EightThreadsVsDeltaRolloutChain) {
   // All containers are prepared up front so the swapper loop is just
   // repository calls. delta2 is diffed against the RESOLVED delta1 chain, so
@@ -178,7 +185,7 @@ TEST(DeltaStress, UnloadRaceNeverStrandsADeltaChain) {
           continue;
         }
         auto fc1 = m->store->get("fc1");  // may decode through the chain
-        if (fc1 && !fc1->dense.empty() && std::isfinite(fc1->dense[0])) {
+        if (fc1 && std::isfinite(first_weight(*fc1))) {
           touched.fetch_add(1);
         }
       }
@@ -210,7 +217,7 @@ TEST(DeltaStress, UnloadRaceNeverStrandsADeltaChain) {
   ASSERT_NE(m, nullptr);
   auto fc1 = m->store->get("fc1");
   ASSERT_NE(fc1, nullptr);
-  EXPECT_TRUE(std::isfinite(fc1->dense[0]));
+  EXPECT_TRUE(std::isfinite(first_weight(*fc1)));
 }
 
 }  // namespace

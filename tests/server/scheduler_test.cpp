@@ -60,8 +60,12 @@ TEST(RequestScheduler, MatchesDirectSessionOutput) {
   ModelRepository repo;
   auto m = repo.load("m", bytes);
 
-  // Oracle: a private session over the same container.
-  serve::ModelStore store(bytes);
+  // Oracle: a private session over the same container, decoded into the
+  // same forms the repository's native-form store serves, so both run the
+  // same kernels.
+  serve::ModelStoreOptions opts;
+  opts.native_form = true;
+  serve::ModelStore store(bytes, opts);
   serve::InferenceSession session(store);
   tensor::Tensor x({1, 32});
   for (std::int64_t i = 0; i < x.numel(); ++i) {

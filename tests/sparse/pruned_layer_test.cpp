@@ -90,6 +90,20 @@ TEST(PrunedLayer, ExtremeGapAtMatrixEnd) {
   EXPECT_EQ(layer.to_dense(), dense);
 }
 
+TEST(PrunedLayer, ToDenseRejectsZeroDelta) {
+  // from_dense never emits a 0 delta; a forged one must not overwrite the
+  // previous entry (mid-stream) or land before the matrix (first entry).
+  for (auto index : {std::vector<std::uint8_t>{2, 0, 1},
+                     std::vector<std::uint8_t>{0, 1}}) {
+    PrunedLayer l;
+    l.rows = 2;
+    l.cols = 4;
+    l.index = index;
+    l.data.assign(index.size(), 1.0f);
+    EXPECT_THROW(l.to_dense(), std::runtime_error);
+  }
+}
+
 TEST(Csr, RoundTripAndSizes) {
   auto dense = random_sparse(64 * 64, 0.1, 5);
   auto csr = CsrMatrix::from_dense(dense, 64, 64);

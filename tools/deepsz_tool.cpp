@@ -834,10 +834,9 @@ int run(int argc, char** argv) {
     deepsz::serve::ModelStoreOptions sopts;
     sopts.cache_budget_bytes =
         static_cast<std::size_t>(cache_mb * (1 << 20));
-    // --native mirrors the serving daemon's store: CSR views for the sparse
-    // batched forward, and each layer resident in its data-codec's native
-    // serving form (a "dc" container stays codebook-CSR, never dense f32).
-    sopts.build_csr = native;
+    // --native mirrors the serving daemon's store: each layer resident in
+    // its native serving form (a "dc" container stays codebook-CSR, a
+    // pruned layer CSR-only, never dense f32).
     sopts.native_form = native;
     deepsz::serve::ModelStore store(read_file(argv[2]), sopts);
     const auto in_features = store.reader().entry(std::size_t{0}).cols;
