@@ -63,7 +63,9 @@ int main() {
         core::optimize_for_accuracy(assessments, cfg.expected_acc_loss);
     std::map<std::string, double> ebs;
     for (const auto& c : chosen.choices) ebs[c.layer] = c.eb;
-    core::encode_model(layers, ebs, sz::SzParams{});
+    core::ContainerOptions copts;
+    copts.data_codec = core::sz_codec_spec(sz::SzParams{});
+    core::encode_model(layers, ebs, copts);
     const double deepsz_s = timer.seconds();
 
     // Measured epoch time (one masked training epoch; mutates the network,
@@ -105,7 +107,9 @@ int main() {
 
     std::map<std::string, double> ebs;
     for (const auto& fc : spec.fc) ebs[fc.layer] = fc.chosen_eb;
-    auto model = core::encode_model(layers, ebs, sz::SzParams{});
+    core::ContainerOptions copts;
+    copts.data_codec = core::sz_codec_spec(sz::SzParams{});
+    auto model = core::encode_model(layers, ebs, copts);
     auto decoded = core::decode_model(model.bytes, true);
 
     // Deep Compression decode: Huffman streams + codebook + dense rebuild.

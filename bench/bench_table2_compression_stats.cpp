@@ -26,7 +26,9 @@ int main() {
 
     std::map<std::string, double> ebs;
     for (const auto& fc : spec.fc) ebs[fc.layer] = fc.chosen_eb;
-    auto model = core::encode_model(layers, ebs, sz::SzParams{});
+    core::ContainerOptions copts;
+    copts.data_codec = core::sz_codec_spec(sz::SzParams{});
+    auto model = core::encode_model(layers, ebs, copts);
 
     std::printf("\n-- %s --\n", spec.name.c_str());
     bench::print_row({"layer", "original", "prune keep", "CSR size",

@@ -56,8 +56,10 @@ int main() {
         wl_complete = false;
       }
 
-      auto model = core::encode_model({layer}, {{layer.name, fc.chosen_eb}},
-                                      sz::SzParams{});
+      core::ContainerOptions copts;
+      copts.data_codec = core::sz_codec_spec(sz::SzParams{});
+      auto model =
+          core::encode_model({layer}, {{layer.name, fc.chosen_eb}}, copts);
       dsz_total += model.compressed_payload_bytes();
       double dsz_ratio = model.compression_ratio();
 

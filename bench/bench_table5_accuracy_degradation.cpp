@@ -56,7 +56,9 @@ int main() {
         assessments, cfg.expected_acc_loss, joint_drop);
     std::map<std::string, double> ebs;
     for (const auto& c : chosen.choices) ebs[c.layer] = c.eb;
-    auto model = core::encode_model(layers, ebs, sz::SzParams{});
+    core::ContainerOptions copts;
+    copts.data_codec = core::sz_codec_spec(sz::SzParams{});
+    auto model = core::encode_model(layers, ebs, copts);
 
     std::vector<sparse::PrunedLayer> dsz_layers;
     {

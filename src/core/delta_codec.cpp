@@ -1,7 +1,6 @@
 #include "core/delta_codec.h"
 
 #include <cstring>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -9,41 +8,16 @@
 #include "core/container_wire.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
-#include "util/threadpool.h"
 
 namespace deepsz::core {
 namespace {
 
-std::span<const std::uint8_t> float_bytes(std::span<const float> v) {
-  return {reinterpret_cast<const std::uint8_t*>(v.data()),
-          v.size() * sizeof(float)};
-}
+using wire::float_bytes;
 
 bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
   return a.size() == b.size() &&
          (a.empty() ||
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-}
-
-/// Same per-layer fan-out as model_codec.cpp: exceptions captured per task,
-/// first one rethrown.
-template <typename Fn>
-void for_each_layer(std::size_t n, bool parallel, Fn&& fn) {
-  if (!parallel || n < 2 || util::ThreadPool::global().size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(n);
-  util::parallel_for(0, n, [&](std::size_t i) {
-    try {
-      fn(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 /// One layer's planned record: kind decision plus every encoded stream.
@@ -61,18 +35,6 @@ struct LayerPlan {
   std::uint32_t recon_data_crc = 0, recon_index_crc = 0;
   std::vector<float> bias;  // stored verbatim (kFull / kDelta)
 };
-
-void put_stream(std::vector<std::uint8_t>& out, const std::string& codec,
-                const std::vector<std::uint8_t>& payload, StreamRef& ref) {
-  ref.codec = codec;
-  ref.length = payload.size();
-  ref.crc = util::crc32(payload);
-  util::put_string(out, codec);
-  util::put_le<std::uint64_t>(out, payload.size());
-  util::put_le<std::uint32_t>(out, ref.crc);
-  ref.offset = out.size();
-  util::put_bytes(out, payload);
-}
 
 }  // namespace
 
@@ -261,8 +223,8 @@ DeltaModel encode_delta_model(const ContainerReader& base,
     switch (p.kind) {
       case LayerKind::kFull:
         util::put_le<double>(out, p.eb);
-        put_stream(out, p.data_codec, p.data, e.data);
-        put_stream(out, p.index_codec, p.index, e.index);
+        wire::put_stream(out, p.data_codec, p.data, e.data);
+        wire::put_stream(out, p.index_codec, p.index, e.index);
         break;
       case LayerKind::kSame:
         util::put_le<std::uint32_t>(out, p.base_data_crc);
@@ -273,10 +235,10 @@ DeltaModel encode_delta_model(const ContainerReader& base,
         util::put_le<double>(out, p.eb);
         util::put_le<std::uint8_t>(out,
                                    static_cast<std::uint8_t>(p.mask_mode));
-        put_stream(out, p.data_codec, p.data, e.data);
-        put_stream(out, p.corr_codec, p.corr, e.corr);
+        wire::put_stream(out, p.data_codec, p.data, e.data);
+        wire::put_stream(out, p.corr_codec, p.corr, e.corr);
         if (p.mask_mode != MaskMode::kSameAsBase) {
-          put_stream(out, p.index_codec, p.index, e.index);
+          wire::put_stream(out, p.index_codec, p.index, e.index);
         }
         util::put_le<std::uint32_t>(out, p.base_data_crc);
         util::put_le<std::uint32_t>(out, p.base_index_crc);
@@ -284,12 +246,7 @@ DeltaModel encode_delta_model(const ContainerReader& base,
         util::put_le<std::uint32_t>(out, p.recon_index_crc);
         break;
     }
-    if (p.kind != LayerKind::kSame) {
-      util::put_le<std::uint64_t>(out, p.bias.size());
-      e.bias_count = p.bias.size();
-      e.bias_offset = p.bias.empty() ? 0 : out.size();
-      for (float b : p.bias) util::put_le<float>(out, b);
-    }
+    if (p.kind != LayerKind::kSame) wire::put_bias(out, p.bias, e);
 
     DeltaLayerStats stats;
     stats.layer = p.name;
@@ -302,43 +259,7 @@ DeltaModel encode_delta_model(const ContainerReader& base,
     model.stats.push_back(std::move(stats));
   }
 
-  if (options.write_index) {
-    std::vector<std::uint8_t> footer;
-    util::put_le<std::uint32_t>(footer, static_cast<std::uint32_t>(n));
-    for (const auto& e : directory) {
-      util::put_string(footer, e.name);
-      util::put_le<std::int64_t>(footer, e.rows);
-      util::put_le<std::int64_t>(footer, e.cols);
-      util::put_le<double>(footer, e.eb);
-      util::put_string(footer, e.data.codec);
-      util::put_le<std::uint64_t>(footer, e.data.offset);
-      util::put_le<std::uint64_t>(footer, e.data.length);
-      util::put_le<std::uint32_t>(footer, e.data.crc);
-      util::put_string(footer, e.index.codec);
-      util::put_le<std::uint64_t>(footer, e.index.offset);
-      util::put_le<std::uint64_t>(footer, e.index.length);
-      util::put_le<std::uint32_t>(footer, e.index.crc);
-      util::put_le<std::uint64_t>(footer, e.bias_offset);
-      util::put_le<std::uint64_t>(footer, e.bias_count);
-      util::put_le<std::uint8_t>(footer, static_cast<std::uint8_t>(e.kind));
-      util::put_le<std::uint8_t>(footer,
-                                 static_cast<std::uint8_t>(e.mask_mode));
-      util::put_string(footer, e.corr.codec);
-      util::put_le<std::uint64_t>(footer, e.corr.offset);
-      util::put_le<std::uint64_t>(footer, e.corr.length);
-      util::put_le<std::uint32_t>(footer, e.corr.crc);
-      util::put_le<std::uint32_t>(footer, e.base_data_crc);
-      util::put_le<std::uint32_t>(footer, e.base_index_crc);
-      util::put_le<std::uint32_t>(footer, e.base_bias_crc);
-      util::put_le<std::uint32_t>(footer, e.recon_data_crc);
-      util::put_le<std::uint32_t>(footer, e.recon_index_crc);
-    }
-    const std::uint32_t footer_crc = util::crc32(footer);
-    util::put_bytes(out, footer);
-    util::put_le<std::uint32_t>(out, footer_crc);
-    util::put_le<std::uint64_t>(out, footer.size());
-    util::put_le<std::uint32_t>(out, wire::kFooterMagic);
-  }
+  wire::put_footer(out, wire::footer_body(wire::kVersionDelta, directory));
   return model;
 }
 

@@ -55,8 +55,6 @@ struct DeltaOptions {
   std::string base_id;
   /// Encode layers across ThreadPool::global().
   bool parallel = true;
-  /// Append the seekable DSZX footer (covers every record kind).
-  bool write_index = true;
 };
 
 /// Per-layer diff outcome.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <exception>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -24,38 +24,7 @@ using wire::kTrailerBytes;
 using wire::kVersionCurrent;
 using wire::kVersionDelta;
 using wire::kVersionLegacy;
-
-/// Float array viewed as its in-memory (little-endian) byte image — the
-/// representation all CRC pins of decoded data/bias arrays are taken over.
-std::span<const std::uint8_t> float_bytes(std::span<const float> v) {
-  return {reinterpret_cast<const std::uint8_t*>(v.data()),
-          v.size() * sizeof(float)};
-}
-
-/// Runs fn(i) for i in [0, n), across the global pool when requested.
-/// Exceptions are captured per task and the first one rethrown, since
-/// ThreadPool tasks must not throw. Codec work inside fn may itself
-/// parallel_for over stream-v2 chunks; nested loops run inline on pool
-/// workers, so layer- and chunk-level parallelism compose without
-/// oversubscription.
-template <typename Fn>
-void for_each_layer(std::size_t n, bool parallel, Fn&& fn) {
-  if (!parallel || n < 2 || util::ThreadPool::global().size() <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::vector<std::exception_ptr> errors(n);
-  util::parallel_for(0, n, [&](std::size_t i) {
-    try {
-      fn(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
+using wire::float_bytes;
 
 std::string predictor_option(sz::PredictorMode mode) {
   switch (mode) {
@@ -68,6 +37,15 @@ std::string predictor_option(sz::PredictorMode mode) {
 }
 
 }  // namespace
+
+void for_each_layer(std::size_t n, bool parallel,
+                    const std::function<void(std::size_t)>& fn) {
+  if (!parallel) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  util::parallel_for(0, n, fn);
+}
 
 std::size_t EncodedModel::dense_bytes() const {
   std::size_t total = 0;
@@ -139,66 +117,17 @@ EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
     entry.rows = layer.rows;
     entry.cols = layer.cols;
     entry.eb = s.eb;
-    entry.data.codec = options.data_codec;
-    entry.index.codec = options.index_codec;
-
-    const std::uint32_t data_crc = util::crc32(s.data);
-    const std::uint32_t index_crc = util::crc32(s.index);
     util::put_string(out, layer.name);
     util::put_le<std::int64_t>(out, layer.rows);
     util::put_le<std::int64_t>(out, layer.cols);
     util::put_le<double>(out, s.eb);
-    util::put_string(out, options.data_codec);
-    util::put_le<std::uint64_t>(out, s.data.size());
-    util::put_le<std::uint32_t>(out, data_crc);
-    entry.data.offset = out.size();
-    entry.data.length = s.data.size();
-    entry.data.crc = data_crc;
-    util::put_bytes(out, s.data);
-    util::put_string(out, options.index_codec);
-    util::put_le<std::uint64_t>(out, s.index.size());
-    util::put_le<std::uint32_t>(out, index_crc);
-    entry.index.offset = out.size();
-    entry.index.length = s.index.size();
-    entry.index.crc = index_crc;
-    util::put_bytes(out, s.index);
-
-    auto bias_it = biases.find(layer.name);
-    const std::uint64_t bias_count =
-        bias_it != biases.end() ? bias_it->second.size() : 0;
-    util::put_le<std::uint64_t>(out, bias_count);
-    entry.bias_count = bias_count;
-    entry.bias_offset = bias_count > 0 ? out.size() : 0;
-    if (bias_count > 0) {
-      for (float b : bias_it->second) util::put_le<float>(out, b);
-    }
+    wire::put_stream(out, options.data_codec, s.data, entry.data);
+    wire::put_stream(out, options.index_codec, s.index, entry.index);
+    std::span<const float> bias;
+    if (auto it = biases.find(layer.name); it != biases.end()) bias = it->second;
+    wire::put_bias(out, bias, entry);
   }
-
-  if (options.write_index) {
-    std::vector<std::uint8_t> footer;
-    util::put_le<std::uint32_t>(footer, static_cast<std::uint32_t>(n));
-    for (const auto& e : directory) {
-      util::put_string(footer, e.name);
-      util::put_le<std::int64_t>(footer, e.rows);
-      util::put_le<std::int64_t>(footer, e.cols);
-      util::put_le<double>(footer, e.eb);
-      util::put_string(footer, e.data.codec);
-      util::put_le<std::uint64_t>(footer, e.data.offset);
-      util::put_le<std::uint64_t>(footer, e.data.length);
-      util::put_le<std::uint32_t>(footer, e.data.crc);
-      util::put_string(footer, e.index.codec);
-      util::put_le<std::uint64_t>(footer, e.index.offset);
-      util::put_le<std::uint64_t>(footer, e.index.length);
-      util::put_le<std::uint32_t>(footer, e.index.crc);
-      util::put_le<std::uint64_t>(footer, e.bias_offset);
-      util::put_le<std::uint64_t>(footer, e.bias_count);
-    }
-    const std::uint32_t footer_crc = util::crc32(footer);
-    util::put_bytes(out, footer);
-    util::put_le<std::uint32_t>(out, footer_crc);
-    util::put_le<std::uint64_t>(out, footer.size());
-    util::put_le<std::uint32_t>(out, kFooterMagic);
-  }
+  wire::put_footer(out, wire::footer_body(kVersionCurrent, directory));
   return model;
 }
 
@@ -207,19 +136,6 @@ std::string sz_codec_spec(const sz::SzParams& params) {
          ",block_size=" + std::to_string(params.block_size) +
          ",predictor=" + predictor_option(params.predictor) +
          ",backend=" + lossless::codec_name(params.backend);
-}
-
-EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
-                          const std::map<std::string, double>& eb_per_layer,
-                          const sz::SzParams& sz_template,
-                          lossless::CodecId index_codec, double default_eb,
-                          const std::map<std::string, std::vector<float>>&
-                              biases) {
-  ContainerOptions options;
-  options.data_codec = sz_codec_spec(sz_template);
-  options.index_codec = lossless::codec_name(index_codec);
-  options.default_eb = default_eb;
-  return encode_model(layers, eb_per_layer, options, biases);
 }
 
 // ---------------------------------------------------------------------------
@@ -290,6 +206,76 @@ ContainerReader::ContainerReader(std::span<const std::uint8_t> bytes,
   validate_entries(payload_end);
 }
 
+// ---------------------------------------------------------------------------
+// The container writer (container_wire.h). parse_footer below is the only
+// reader of footer_body's layout.
+// ---------------------------------------------------------------------------
+
+namespace wire {
+
+void put_stream(std::vector<std::uint8_t>& out, const std::string& codec,
+                std::span<const std::uint8_t> payload, StreamRef& ref) {
+  ref.codec = codec;
+  ref.length = payload.size();
+  ref.crc = util::crc32(payload);
+  util::put_string(out, codec);
+  util::put_le<std::uint64_t>(out, ref.length);
+  util::put_le<std::uint32_t>(out, ref.crc);
+  ref.offset = out.size();
+  util::put_bytes(out, payload);
+}
+
+void put_bias(std::vector<std::uint8_t>& out, std::span<const float> bias,
+              ContainerEntry& entry) {
+  util::put_le<std::uint64_t>(out, bias.size());
+  entry.bias_count = bias.size();
+  entry.bias_offset = bias.empty() ? 0 : out.size();
+  for (float b : bias) util::put_le<float>(out, b);
+}
+
+std::vector<std::uint8_t> footer_body(std::uint32_t version,
+                                      std::span<const ContainerEntry> entries) {
+  auto put_ref = [](std::vector<std::uint8_t>& body, const StreamRef& ref) {
+    util::put_string(body, ref.codec);
+    util::put_le<std::uint64_t>(body, ref.offset);
+    util::put_le<std::uint64_t>(body, ref.length);
+    util::put_le<std::uint32_t>(body, ref.crc);
+  };
+  std::vector<std::uint8_t> body;
+  util::put_le<std::uint32_t>(body, static_cast<std::uint32_t>(entries.size()));
+  for (const auto& e : entries) {
+    util::put_string(body, e.name);
+    util::put_le<std::int64_t>(body, e.rows);
+    util::put_le<std::int64_t>(body, e.cols);
+    util::put_le<double>(body, e.eb);
+    put_ref(body, e.data);
+    put_ref(body, e.index);
+    util::put_le<std::uint64_t>(body, e.bias_offset);
+    util::put_le<std::uint64_t>(body, e.bias_count);
+    if (version == kVersionDelta) {
+      util::put_le<std::uint8_t>(body, static_cast<std::uint8_t>(e.kind));
+      util::put_le<std::uint8_t>(body, static_cast<std::uint8_t>(e.mask_mode));
+      put_ref(body, e.corr);
+      util::put_le<std::uint32_t>(body, e.base_data_crc);
+      util::put_le<std::uint32_t>(body, e.base_index_crc);
+      util::put_le<std::uint32_t>(body, e.base_bias_crc);
+      util::put_le<std::uint32_t>(body, e.recon_data_crc);
+      util::put_le<std::uint32_t>(body, e.recon_index_crc);
+    }
+  }
+  return body;
+}
+
+void put_footer(std::vector<std::uint8_t>& out,
+                std::span<const std::uint8_t> body) {
+  util::put_bytes(out, body);
+  util::put_le<std::uint32_t>(out, util::crc32(body));
+  util::put_le<std::uint64_t>(out, body.size());
+  util::put_le<std::uint32_t>(out, kFooterMagic);
+}
+
+}  // namespace wire
+
 void ContainerReader::parse_footer(std::size_t body_start,
                                    std::size_t body_len,
                                    std::uint32_t n_layers) {
@@ -307,6 +293,13 @@ void ContainerReader::parse_footer(std::size_t body_start,
     if (count > body_len / 96) {
       throw std::runtime_error("ContainerReader: implausible footer count");
     }
+    // The mirror of wire::footer_body.
+    auto get_ref = [&r](StreamRef& ref) {
+      ref.codec = r.get_string();
+      ref.offset = r.get<std::uint64_t>();
+      ref.length = r.get<std::uint64_t>();
+      ref.crc = r.get<std::uint32_t>();
+    };
     entries_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       ContainerEntry e;
@@ -314,14 +307,8 @@ void ContainerReader::parse_footer(std::size_t body_start,
       e.rows = r.get<std::int64_t>();
       e.cols = r.get<std::int64_t>();
       e.eb = r.get<double>();
-      e.data.codec = r.get_string();
-      e.data.offset = r.get<std::uint64_t>();
-      e.data.length = r.get<std::uint64_t>();
-      e.data.crc = r.get<std::uint32_t>();
-      e.index.codec = r.get_string();
-      e.index.offset = r.get<std::uint64_t>();
-      e.index.length = r.get<std::uint64_t>();
-      e.index.crc = r.get<std::uint32_t>();
+      get_ref(e.data);
+      get_ref(e.index);
       e.bias_offset = r.get<std::uint64_t>();
       e.bias_count = r.get<std::uint64_t>();
       if (version_ == kVersionDelta) {
@@ -333,10 +320,7 @@ void ContainerReader::parse_footer(std::size_t body_start,
         }
         e.kind = static_cast<LayerKind>(kind);
         e.mask_mode = static_cast<MaskMode>(mask);
-        e.corr.codec = r.get_string();
-        e.corr.offset = r.get<std::uint64_t>();
-        e.corr.length = r.get<std::uint64_t>();
-        e.corr.crc = r.get<std::uint32_t>();
+        get_ref(e.corr);
         e.base_data_crc = r.get<std::uint32_t>();
         e.base_index_crc = r.get<std::uint32_t>();
         e.base_bias_crc = r.get<std::uint32_t>();

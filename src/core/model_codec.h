@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "lossless/codec.h"
 #include "sparse/pruned_layer.h"
 #include "sz/sz.h"
 #include "util/mutex.h"
@@ -88,10 +87,6 @@ struct ContainerOptions {
   /// Encode/decode per-layer streams across ThreadPool::global(). Serial
   /// execution (for timing comparisons) when false or on a 1-thread host.
   bool parallel = true;
-  /// Append the seekable footer index (offset/length/CRC per stream). Old
-  /// readers ignore the trailing bytes; disabling produces an indexless
-  /// container that ContainerReader falls back to scanning.
-  bool write_index = true;
 };
 
 /// Encodes pruned layers with per-layer error bounds (missing layers use
@@ -102,18 +97,6 @@ struct ContainerOptions {
 EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
                           const std::map<std::string, double>& eb_per_layer,
                           const ContainerOptions& options = {},
-                          const std::map<std::string, std::vector<float>>&
-                              biases = {});
-
-/// Pre-registry shim: the old free-function signature, forwarded to the
-/// codec-registry path (`sz_template` becomes an "sz:..." spec, `index_codec`
-/// its registry name). Prefer the ContainerOptions overload.
-EncodedModel encode_model(const std::vector<sparse::PrunedLayer>& layers,
-                          const std::map<std::string, double>& eb_per_layer,
-                          const sz::SzParams& sz_template,
-                          lossless::CodecId index_codec =
-                              lossless::CodecId::kZstdLike,
-                          double default_eb = 1e-3,
                           const std::map<std::string, std::vector<float>>&
                               biases = {});
 
@@ -216,8 +199,8 @@ struct ContainerEntry {
 /// without touching any other layer's stream bytes.
 ///
 /// Construction parses the footer index when present (O(#layers), no stream
-/// bytes read); indexless containers — both legacy version 2 and version 3
-/// written with write_index=false — are scanned record by record, which reads
+/// bytes read); indexless containers — legacy version 2, or any container
+/// cut at the end of its records — are scanned record by record, which reads
 /// record headers only and still never decodes or checksums stream payloads.
 /// The reader is non-owning: `bytes` must outlive it. decode_layer() is
 /// const and thread-safe; distinct layers decode concurrently.

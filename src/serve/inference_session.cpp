@@ -6,7 +6,6 @@
 #include "serve/sparse_forward.h"
 #include "tensor/gemm.h"
 #include "util/cpu.h"
-#include "util/timer.h"
 
 namespace deepsz::serve {
 namespace {
@@ -74,9 +73,7 @@ const ServedLayer& InferenceSession::pin(std::size_t i) {
     // First time a request reaches the layer: fetch the decoded form (cache
     // hit, coalesced wait, or an actual decode).
     const core::ContainerEntry& e = store_.reader().entry(i);
-    util::WallTimer wait;
     auto served = store_.get(e.name);
-    stats_.decode_wait_ms += wait.millis();
     if (!served->bias.empty() &&
         served->bias.size() != static_cast<std::size_t>(served->rows)) {
       throw std::invalid_argument("InferenceSession: layer \"" + e.name +
@@ -86,7 +83,6 @@ const ServedLayer& InferenceSession::pin(std::size_t i) {
                                   std::to_string(served->rows) + " rows");
     }
     chain_[i] = std::move(served);
-    ++stats_.layer_installs;
   }
   return *chain_[i];
 }
@@ -98,7 +94,6 @@ tensor::Tensor InferenceSession::infer(const tensor::Tensor& batch) {
                                 batch.shape_str() + ", expected [N, " +
                                 std::to_string(in) + "]");
   }
-  const std::int64_t n = batch.dim(0);
 
   // A layer without a dense matrix (CSR-only, codebook) can only run the
   // kernel; an opted-in session also runs it over dense layers that carry a
@@ -118,22 +113,16 @@ tensor::Tensor InferenceSession::infer(const tensor::Tensor& batch) {
   std::vector<std::shared_ptr<const ServedLayer>> run;
   for (std::size_t i = 0; i < depth;) {
     if (!runs_kernel(pin(i))) {
-      util::WallTimer compute;
       y = dense_layer_forward(*chain_[i], *x, /*relu=*/i + 1 < depth);
-      stats_.compute_ms += compute.millis();
       ++i;
     } else {
       run.clear();
       for (; i < depth && runs_kernel(pin(i)); ++i) run.push_back(chain_[i]);
-      util::WallTimer compute;
       y = sparse_fc_forward(run, *x);
       if (i < depth) relu_inplace(y);
-      stats_.compute_ms += compute.millis();
     }
     x = &y;
   }
-  ++stats_.requests;
-  stats_.samples += static_cast<std::uint64_t>(n);
   return y;
 }
 

@@ -9,13 +9,12 @@
 // the compute of the layers before them; once every layer is pinned,
 // steady-state requests do zero codec work and never consult the store.
 //
-// A session is single-threaded (it owns its pins and counters);
+// A session is single-threaded (it owns its pins);
 // concurrency comes from running one session per worker thread over one
 // shared ModelStore — the cache coalesces duplicate decodes, so N cold
 // sessions still decode each layer exactly once.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,17 +27,6 @@ class Network;
 }
 
 namespace deepsz::serve {
-
-/// Per-session counters; decode_wait_ms includes time spent waiting for
-/// another session's coalesced decode, so it measures observed latency, not
-/// codec work attributable to this session.
-struct SessionStats {
-  std::uint64_t requests = 0;
-  std::uint64_t samples = 0;         // total batch rows served
-  std::uint64_t layer_installs = 0;  // store fetches
-  double decode_wait_ms = 0.0;       // blocked on ModelStore::get
-  double compute_ms = 0.0;           // forward-pass time
-};
 
 class InferenceSession {
  public:
@@ -83,8 +71,6 @@ class InferenceSession {
   /// store — e.g. after evict_all() in tests, or when a worker goes idle.
   void release_layers();
 
-  SessionStats stats() const { return stats_; }
-
  private:
   const ServedLayer& pin(std::size_t i);
 
@@ -93,7 +79,6 @@ class InferenceSession {
   // A pin keeps the decoded layer alive even if the store evicts it.
   std::vector<std::shared_ptr<const ServedLayer>> chain_;
   bool sparse_enabled_ = false;
-  SessionStats stats_;
 };
 
 /// Checks that a container's fc stack is servable as one chain: at least one

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "baselines/codec_adapters.h"
+#include "core/container_wire.h"
 #include "obs/trace.h"
 #include "util/cpu.h"
 #include "util/crc32.h"
@@ -318,11 +319,8 @@ std::shared_ptr<const ServedLayer> ModelStore::decode_delta_now(
                      });
       // apply_delta verifies the pin as well, but throws on a miss; only an
       // omitted position can miss it, so only then is it checked here.
-      const auto* data_bytes =
-          reinterpret_cast<const std::uint8_t*>(base_layer.data.data());
-      if (!omitted ||
-          util::crc32({data_bytes, base_layer.data.size() * sizeof(float)}) ==
-              e.base_data_crc) {
+      if (!omitted || util::crc32(core::wire::float_bytes(base_layer.data)) ==
+                          e.base_data_crc) {
         timing.reconstruct_ms += rebuild_timer.millis();
         base_layer.index = std::move(deltas);
         core::DecodeTiming apply_timing;
@@ -495,22 +493,12 @@ std::shared_ptr<const ServedLayer> ModelStore::peek(
 
 void ModelStore::warmup(bool parallel) {
   const std::size_t n = reader_.num_layers();
-  if (!parallel || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) get(reader_.entry(i).name);
+  const auto fetch = [this](std::size_t i) { get(reader_.entry(i).name); };
+  if (!parallel) {
+    for (std::size_t i = 0; i < n; ++i) fetch(i);
     return;
   }
-  // Exceptions must not escape pool tasks; surface the first one here.
-  std::vector<std::exception_ptr> errors(n);
-  util::parallel_for(0, n, [&](std::size_t i) {
-    try {
-      get(reader_.entry(i).name);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
+  util::parallel_for(0, n, fetch);
 }
 
 void ModelStore::evict_all() {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <optional>
 #include <stdexcept>
 
@@ -554,20 +553,12 @@ std::vector<std::uint8_t> compress(std::span<const float> data,
   }
 
   std::vector<EncodedChunk> chunks(n_chunks);
-  std::vector<std::exception_ptr> errors(n_chunks);
   util::parallel_for(0, n_chunks, [&](std::size_t c) {
-    try {
-      const std::size_t lo = c * chunk_size;
-      const std::size_t hi = std::min(n, lo + chunk_size);
-      chunks[c] = encode_chunk(data.subspan(lo, hi - lo), params, abs_eb,
-                               bins, block_size, model ? &*model : nullptr);
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
+    const std::size_t lo = c * chunk_size;
+    const std::size_t hi = std::min(n, lo + chunk_size);
+    chunks[c] = encode_chunk(data.subspan(lo, hi - lo), params, abs_eb, bins,
+                             block_size, model ? &*model : nullptr);
   });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
 
   std::uint64_t unpred_total = 0;
   for (const auto& c : chunks) unpred_total += c.unpredictable;
@@ -628,23 +619,15 @@ std::vector<float> decompress(std::span<const std::uint8_t> stream) {
   }
 
   std::vector<float> out(n);
-  std::vector<std::exception_ptr> errors(n_chunks);
   util::parallel_for(0, n_chunks, [&](std::size_t c) {
-    try {
-      const std::size_t lo = c * h.info.chunk_size;
-      const std::size_t hi =
-          std::min(n, lo + static_cast<std::size_t>(h.info.chunk_size));
-      decode_chunk(stream.subspan(h.area_pos + extents[c].offset,
-                                  extents[c].length),
-                   hi - lo, h.info.quant_bins, h.info.block_size,
-                   h.info.abs_error_bound, out.data() + lo);
-    } catch (...) {
-      errors[c] = std::current_exception();
-    }
+    const std::size_t lo = c * h.info.chunk_size;
+    const std::size_t hi =
+        std::min(n, lo + static_cast<std::size_t>(h.info.chunk_size));
+    decode_chunk(
+        stream.subspan(h.area_pos + extents[c].offset, extents[c].length),
+        hi - lo, h.info.quant_bins, h.info.block_size, h.info.abs_error_bound,
+        out.data() + lo);
   });
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
   return out;
 }
 

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "codec/registry.h"
+#include "core/container_wire.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
@@ -35,10 +36,6 @@ constexpr std::uint8_t kFlagMasked = 0x01;
 
 bool valid_kind(std::uint8_t k) {
   return k <= static_cast<std::uint8_t>(StreamKind::kFloats);
-}
-
-std::span<const std::uint8_t> float_bytes(const std::vector<float>& v) {
-  return {reinterpret_cast<const std::uint8_t*>(v.data()), v.size() * 4};
 }
 
 std::vector<float> bytes_to_floats(std::span<const std::uint8_t> bytes) {
@@ -82,7 +79,8 @@ EncodedStream encode_stream(const CheckpointStream& s,
     case StreamKind::kFloats: {
       enc.codec = options.lossless_codec;
       enc.count = s.floats.size();
-      enc.payload = reg.make_byte(enc.codec)->encode(float_bytes(s.floats));
+      enc.payload =
+          reg.make_byte(enc.codec)->encode(core::wire::float_bytes(s.floats));
       break;
     }
   }

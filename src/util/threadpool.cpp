@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <exception>
 
 namespace deepsz::util {
 namespace {
@@ -82,6 +83,39 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+namespace {
+
+// Runs body(lo, hi) over at most `chunks` contiguous sub-ranges of
+// [begin, end) on the pool and waits for all of them. A chunk that throws
+// stops there and parks its exception; chunks cover ascending ranges, so the
+// first parked exception is the one from the lowest index, and it is
+// rethrown here on the calling thread. No exception reaches worker_loop.
+void run_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
+                std::size_t chunks,
+                const std::function<void(std::size_t, std::size_t)>& body) {
+  const std::size_t n = end - begin;
+  const std::size_t chunk = (n + chunks - 1) / chunks;
+  std::vector<std::exception_ptr> errors(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    std::size_t lo = begin + c * chunk;
+    std::size_t hi = std::min(end, lo + chunk);
+    if (lo >= hi) break;
+    pool.submit([lo, hi, &body, &error = errors[c]] {
+      try {
+        body(lo, hi);
+      } catch (...) {
+        error = std::current_exception();
+      }
+    });
+  }
+  pool.wait_idle();
+  for (auto& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+}
+
+}  // namespace
+
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain) {
@@ -92,17 +126,11 @@ void parallel_for(std::size_t begin, std::size_t end,
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-  std::size_t chunks = std::min<std::size_t>(pool.size() * 4, (n + grain - 1) / grain);
-  std::size_t chunk = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t lo = begin + c * chunk;
-    std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  pool.wait_idle();
+  run_chunks(pool, begin, end,
+             std::min<std::size_t>(pool.size() * 4, (n + grain - 1) / grain),
+             [&body](std::size_t lo, std::size_t hi) {
+               for (std::size_t i = lo; i < hi; ++i) body(i);
+             });
 }
 
 void parallel_for_chunks(std::size_t begin, std::size_t end,
@@ -115,15 +143,10 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
     body(begin, end);
     return;
   }
-  std::size_t chunks = std::min<std::size_t>(pool.size() * 2, (n + min_chunk - 1) / min_chunk);
-  std::size_t chunk = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t lo = begin + c * chunk;
-    std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    pool.submit([lo, hi, &body] { body(lo, hi); });
-  }
-  pool.wait_idle();
+  run_chunks(pool, begin, end,
+             std::min<std::size_t>(pool.size() * 2,
+                                   (n + min_chunk - 1) / min_chunk),
+             body);
 }
 
 }  // namespace deepsz::util

@@ -27,7 +27,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task. Tasks must not throw.
+  /// Enqueues a task. Tasks must not throw: an exception escaping a task
+  /// terminates the process. parallel_for / parallel_for_chunks catch their
+  /// bodies' exceptions and rethrow them on the caller; use those.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
@@ -59,14 +61,23 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [begin, end) across the global pool with static
-/// chunking. Falls back to a serial loop when the pool has a single worker or
-/// the range is tiny. The body must be safe to run concurrently for distinct i.
+/// chunking. Falls back to a serial loop when the pool has a single worker,
+/// the range is tiny, or the caller is itself a pool task (nested loops run
+/// inline). The body must be safe to run concurrently for distinct i.
+///
+/// Error contract, the same on the pooled, nested-inline and serial paths:
+/// the body may throw. No exception reaches a pool worker; once the loop has
+/// stopped, the one thrown at the lowest index is rethrown on the calling
+/// thread. Indices above a throwing one may or may not have run. Callers
+/// need no capture-and-rethrow wrapper of their own.
 void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   std::size_t grain = 1);
 
 /// Chunked variant: body(lo, hi) receives contiguous sub-ranges. Preferred for
-/// kernels that benefit from sequential memory access within a chunk.
+/// kernels that benefit from sequential memory access within a chunk. Same
+/// error contract as parallel_for: the exception of the lowest-range chunk
+/// that threw is rethrown on the calling thread.
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& body,
                          std::size_t min_chunk = 1024);

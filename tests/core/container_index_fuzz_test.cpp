@@ -8,15 +8,13 @@
 #include <string>
 #include <vector>
 
+#include "core/container_wire.h"
 #include "core/model_codec.h"
 #include "data/weight_synthesis.h"
-#include "util/byte_io.h"
-#include "util/crc32.h"
+#include "tests/core/container_footer.h"
 
 namespace deepsz::core {
 namespace {
-
-constexpr std::uint32_t kFooterMagic = 0x585a5344;  // "DSZX"
 
 std::vector<sparse::PrunedLayer> some_layers(int n = 2) {
   std::vector<sparse::PrunedLayer> layers;
@@ -32,41 +30,18 @@ std::vector<std::uint8_t> indexed_container() {
 }
 
 std::vector<std::uint8_t> indexless_container() {
-  ContainerOptions opts;
-  opts.write_index = false;
-  return encode_model(some_layers(), {}, opts).bytes;
+  return testing::strip_footer(indexed_container());
 }
 
-/// Appends a hand-built footer (count + entries + trailer) to an indexless
-/// container, with a correct CRC — so the tests reach the semantic
-/// validation behind the checksum.
+/// Appends a CRC-correct footer over `entries` whose count field says
+/// `count`, so the tests reach the semantic validation behind the checksum.
 std::vector<std::uint8_t> with_footer(
     std::vector<std::uint8_t> bytes, std::uint32_t count,
     const std::vector<ContainerEntry>& entries) {
-  std::vector<std::uint8_t> body;
-  util::put_le<std::uint32_t>(body, count);
-  for (const auto& e : entries) {
-    util::put_string(body, e.name);
-    util::put_le<std::int64_t>(body, e.rows);
-    util::put_le<std::int64_t>(body, e.cols);
-    util::put_le<double>(body, e.eb);
-    util::put_string(body, e.data.codec);
-    util::put_le<std::uint64_t>(body, e.data.offset);
-    util::put_le<std::uint64_t>(body, e.data.length);
-    util::put_le<std::uint32_t>(body, e.data.crc);
-    util::put_string(body, e.index.codec);
-    util::put_le<std::uint64_t>(body, e.index.offset);
-    util::put_le<std::uint64_t>(body, e.index.length);
-    util::put_le<std::uint32_t>(body, e.index.crc);
-    util::put_le<std::uint64_t>(body, e.bias_offset);
-    util::put_le<std::uint64_t>(body, e.bias_count);
-  }
-  std::vector<std::uint8_t> out = std::move(bytes);
-  util::put_bytes(out, body);
-  util::put_le<std::uint32_t>(out, util::crc32(body));
-  util::put_le<std::uint64_t>(out, body.size());
-  util::put_le<std::uint32_t>(out, kFooterMagic);
-  return out;
+  auto body = wire::footer_body(wire::kVersionCurrent, entries);
+  std::memcpy(body.data(), &count, sizeof count);
+  wire::put_footer(bytes, body);
+  return bytes;
 }
 
 /// The scanned directory of a valid container — the raw material the bad
@@ -87,8 +62,8 @@ TEST(ContainerIndexFuzz, EveryTruncationFailsCleanlyExceptExactRecordsEnd) {
   for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
     std::vector<std::uint8_t> cut(bytes.begin(), bytes.begin() + keep);
     if (keep == records_end) {
-      // Exactly the records: indistinguishable from (and as valid as) a
-      // container written with write_index=false.
+      // Exactly the records: an indexless container, as valid as the
+      // footered one (strip_footer relies on this).
       ContainerReader reader(cut);
       EXPECT_FALSE(reader.has_footer_index());
       continue;
@@ -232,30 +207,10 @@ TEST(ContainerIndexFuzz, FooterBodyTrailingBytesRejected) {
   auto base = indexless_container();
   auto entries = true_entries(base);
   // Valid entries, but the body is padded: r.done() must fail.
-  std::vector<std::uint8_t> body;
-  util::put_le<std::uint32_t>(body, 2);
-  for (const auto& e : entries) {
-    util::put_string(body, e.name);
-    util::put_le<std::int64_t>(body, e.rows);
-    util::put_le<std::int64_t>(body, e.cols);
-    util::put_le<double>(body, e.eb);
-    util::put_string(body, e.data.codec);
-    util::put_le<std::uint64_t>(body, e.data.offset);
-    util::put_le<std::uint64_t>(body, e.data.length);
-    util::put_le<std::uint32_t>(body, e.data.crc);
-    util::put_string(body, e.index.codec);
-    util::put_le<std::uint64_t>(body, e.index.offset);
-    util::put_le<std::uint64_t>(body, e.index.length);
-    util::put_le<std::uint32_t>(body, e.index.crc);
-    util::put_le<std::uint64_t>(body, e.bias_offset);
-    util::put_le<std::uint64_t>(body, e.bias_count);
-  }
+  auto body = wire::footer_body(wire::kVersionCurrent, entries);
   body.push_back(0xAB);  // the padding under test
   auto bad = base;
-  util::put_bytes(bad, body);
-  util::put_le<std::uint32_t>(bad, util::crc32(body));
-  util::put_le<std::uint64_t>(bad, body.size());
-  util::put_le<std::uint32_t>(bad, kFooterMagic);
+  wire::put_footer(bad, body);
   EXPECT_THROW(ContainerReader{bad}, std::runtime_error);
 }
 

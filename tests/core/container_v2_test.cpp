@@ -270,12 +270,15 @@ TEST(ContainerV2, StillDecodesLegacyVersion2Containers) {
   EXPECT_EQ(decoded.biases.at("fc6"), (std::vector<float>{0.5f, -1.5f}));
 }
 
-TEST(ContainerV2, LegacyShimStillEncodes) {
+TEST(ContainerV2, SzCodecSpecEncodesTheTemplateParams) {
   auto layers = some_layers(2);
   sz::SzParams params;
   params.quant_bins = 512;
-  auto model = encode_model(layers, {{"fc6", 1e-3}}, params,
-                            lossless::CodecId::kGzipLike, 5e-3);
+  ContainerOptions opts;
+  opts.data_codec = sz_codec_spec(params);
+  opts.index_codec = "gzip";
+  opts.default_eb = 5e-3;
+  auto model = encode_model(layers, {{"fc6", 1e-3}}, opts);
   EXPECT_EQ(model.stats[0].index_codec, "gzip");
   EXPECT_EQ(model.stats[0].data_codec, sz_codec_spec(params));
   EXPECT_DOUBLE_EQ(model.stats[1].eb, 5e-3);

@@ -10,11 +10,14 @@
 // deliberate, versioned format change.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/delta_codec.h"
 #include "core/model_codec.h"
+#include "data/weight_synthesis.h"
 #include "tests/golden_fixture.h"
 #include "util/crc32.h"
 
@@ -91,6 +94,49 @@ TEST(GoldenDelta, DeltaFixtureRejectsWrongBase) {
   ContainerReader reader(bytes);
   EXPECT_THROW(reader.set_base(std::make_shared<ContainerReader>(wrong)),
                std::runtime_error);
+}
+
+// The v4 writer, pinned byte for byte: CI's fixture regeneration covers v3
+// output only. One fixed delta with a record of every kind — fc6 values
+// nudged (delta, same mask), fc7 untouched (same), fc8 re-drawn (delta with
+// a mask stream), fc9 new in the target (full) — written with codecs whose
+// output does not depend on the host's SIMD support (f32 data and residual
+// streams, zstd lossless streams).
+TEST(GoldenDelta, EncoderOutputIsPinned) {
+  std::vector<sparse::PrunedLayer> base_layers = {
+      data::synthesize_pruned_layer("fc6", 24, 32, 0.25, 1001),
+      data::synthesize_pruned_layer("fc7", 16, 24, 0.30, 1002),
+      data::synthesize_pruned_layer("fc8", 8, 16, 0.50, 1003)};
+  auto target_layers = base_layers;
+  for (std::size_t i = 0; i < target_layers[0].data.size(); ++i) {
+    target_layers[0].data[i] +=
+        0.0005f * static_cast<float>(static_cast<int>(i % 7) - 3);
+  }
+  target_layers[2] = data::synthesize_pruned_layer("fc8", 8, 16, 0.50, 2003);
+  target_layers.push_back(
+      data::synthesize_pruned_layer("fc9", 4, 8, 0.50, 1004));
+  const std::map<std::string, std::vector<float>> biases = {
+      {"fc6", expected_bias()}, {"fc9", {0.5f, -0.25f, 0.125f, 1.0f}}};
+
+  ContainerOptions copts;
+  copts.data_codec = "f32";
+  const auto base = encode_model(base_layers, {}, copts, biases).bytes;
+  const auto target = encode_model(target_layers, {}, copts, biases).bytes;
+  DeltaOptions dopts;
+  dopts.residual_codec = "f32";
+  dopts.base_id = "base.dszc";
+  const auto delta = encode_delta_model(base, target, dopts);
+
+  ASSERT_EQ(delta.stats.size(), 4u);
+  EXPECT_EQ(delta.stats[0].kind, LayerKind::kDelta);
+  EXPECT_EQ(delta.stats[0].mask_mode, MaskMode::kSameAsBase);
+  EXPECT_EQ(delta.stats[1].kind, LayerKind::kSame);
+  EXPECT_EQ(delta.stats[2].kind, LayerKind::kDelta);
+  EXPECT_NE(delta.stats[2].mask_mode, MaskMode::kSameAsBase);
+  EXPECT_EQ(delta.stats[3].kind, LayerKind::kFull);
+  EXPECT_EQ(delta.bytes.size(), 2437u);
+  EXPECT_EQ(util::crc32(delta.bytes), 0xad52ff68u)
+      << "delta writer output moved";
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ std::vector<sparse::PrunedLayer> two_layers() {
 TEST(ModelCodec, RoundTripWithinErrorBounds) {
   auto layers = two_layers();
   std::map<std::string, double> ebs = {{"fc6", 5e-3}, {"fc7", 1e-3}};
-  auto model = encode_model(layers, ebs, sz::SzParams{});
+  auto model = encode_model(layers, ebs, ContainerOptions{});
   auto decoded = decode_model(model.bytes);
   ASSERT_EQ(decoded.layers.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
@@ -36,7 +36,7 @@ TEST(ModelCodec, RoundTripWithinErrorBounds) {
 TEST(ModelCodec, StatsAccounting) {
   auto layers = two_layers();
   auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
-                            sz::SzParams{});
+                            ContainerOptions{});
   ASSERT_EQ(model.stats.size(), 2u);
   EXPECT_EQ(model.stats[0].dense_bytes, 128u * 512u * 4u);
   EXPECT_GT(model.stats[0].data_bytes, 0u);
@@ -48,15 +48,16 @@ TEST(ModelCodec, StatsAccounting) {
 
 TEST(ModelCodec, MissingLayerUsesDefaultEb) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {{"fc6", 1e-2}}, sz::SzParams{},
-                            lossless::CodecId::kZstdLike, 2e-3);
+  ContainerOptions opts;
+  opts.default_eb = 2e-3;
+  auto model = encode_model(layers, {{"fc6", 1e-2}}, opts);
   EXPECT_DOUBLE_EQ(model.stats[1].eb, 2e-3);
 }
 
 TEST(ModelCodec, CorruptPayloadDetectedByCrc) {
   auto layers = two_layers();
   auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
-                            sz::SzParams{});
+                            ContainerOptions{});
   // Flip a byte deep inside the payload (past the header).
   model.bytes[model.bytes.size() / 2] ^= 0x01;
   EXPECT_THROW(decode_model(model.bytes), std::runtime_error);
@@ -64,7 +65,7 @@ TEST(ModelCodec, CorruptPayloadDetectedByCrc) {
 
 TEST(ModelCodec, TruncatedModelThrows) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {}, sz::SzParams{});
+  auto model = encode_model(layers, {}, ContainerOptions{});
   model.bytes.resize(model.bytes.size() - 10);
   EXPECT_ANY_THROW(decode_model(model.bytes));
 }
@@ -72,7 +73,7 @@ TEST(ModelCodec, TruncatedModelThrows) {
 TEST(ModelCodec, DecodeTimingPhasesPopulated) {
   auto layers = two_layers();
   auto model = encode_model(layers, {{"fc6", 1e-2}, {"fc7", 1e-2}},
-                            sz::SzParams{});
+                            ContainerOptions{});
   auto decoded = decode_model(model.bytes, /*reconstruct_dense=*/true);
   EXPECT_GE(decoded.timing.lossless_ms, 0.0);
   EXPECT_GT(decoded.timing.sz_ms, 0.0);
@@ -85,8 +86,7 @@ TEST(ModelCodec, BiasesRoundTripVerbatim) {
       {"fc6", {1.5f, -2.5f, 0.0f}},
       {"fc7", {0.25f}},
   };
-  auto model = encode_model(layers, {}, sz::SzParams{},
-                            lossless::CodecId::kZstdLike, 1e-3, biases);
+  auto model = encode_model(layers, {}, ContainerOptions{}, biases);
   auto decoded = decode_model(model.bytes);
   ASSERT_EQ(decoded.biases.size(), 2u);
   EXPECT_EQ(decoded.biases.at("fc6"),
@@ -96,7 +96,7 @@ TEST(ModelCodec, BiasesRoundTripVerbatim) {
 
 TEST(ModelCodec, NoBiasesMeansEmptyMap) {
   auto layers = two_layers();
-  auto model = encode_model(layers, {}, sz::SzParams{});
+  auto model = encode_model(layers, {}, ContainerOptions{});
   auto decoded = decode_model(model.bytes);
   EXPECT_TRUE(decoded.biases.empty());
 }
@@ -105,7 +105,9 @@ TEST(ModelCodec, IndexCodecChoiceIsHonored) {
   auto layers = two_layers();
   for (auto codec : {lossless::CodecId::kGzipLike, lossless::CodecId::kZstdLike,
                      lossless::CodecId::kBloscLike}) {
-    auto model = encode_model(layers, {}, sz::SzParams{}, codec);
+    ContainerOptions opts;
+    opts.index_codec = lossless::codec_name(codec);
+    auto model = encode_model(layers, {}, opts);
     auto decoded = decode_model(model.bytes);
     ASSERT_EQ(decoded.layers[0].index, layers[0].index)
         << lossless::codec_name(codec);

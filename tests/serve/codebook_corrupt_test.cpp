@@ -24,14 +24,14 @@
 #include "data/weight_synthesis.h"
 #include "lossless/entropy.h"
 #include "serve/model_store.h"
+#include "tests/core/container_footer.h"
 #include "util/byte_io.h"
 #include "util/crc32.h"
 
 namespace deepsz::serve {
 namespace {
 
-constexpr std::uint32_t kDcMagic = 0x56514344;      // "DCQV"
-constexpr std::uint32_t kFooterMagic = 0x585a5344;  // "DSZX"
+constexpr std::uint32_t kDcMagic = 0x56514344;  // "DCQV"
 
 /// A well-formed DCQV stream: magic, count, k centroids, Huffman ids.
 std::vector<std::uint8_t> good_dc_stream(std::size_t count = 64,
@@ -171,10 +171,8 @@ core::ContainerOptions dc_container_options() {
 }
 
 std::vector<std::uint8_t> dc_container_of(
-    std::vector<sparse::PrunedLayer> layers, bool write_index = true) {
-  auto copts = dc_container_options();
-  copts.write_index = write_index;
-  return core::encode_model(layers, {}, copts).bytes;
+    std::vector<sparse::PrunedLayer> layers) {
+  return core::encode_model(layers, {}, dc_container_options()).bytes;
 }
 
 /// A hand-built PrunedLayer with an arbitrary (possibly malicious) delta
@@ -218,44 +216,15 @@ TEST(CodebookCorrupt, IndexOverrunningMatrixRejected) {
   }
 }
 
-/// Rebuilds a footer over (possibly patched) entries, CRC-correct — same
-/// trick as container_index_fuzz_test, so the test reaches the semantic
-/// validation behind the footer checksum.
-std::vector<std::uint8_t> with_footer(
-    std::vector<std::uint8_t> bytes,
-    const std::vector<core::ContainerEntry>& entries) {
-  std::vector<std::uint8_t> body;
-  util::put_le<std::uint32_t>(body, static_cast<std::uint32_t>(entries.size()));
-  for (const auto& e : entries) {
-    util::put_string(body, e.name);
-    util::put_le<std::int64_t>(body, e.rows);
-    util::put_le<std::int64_t>(body, e.cols);
-    util::put_le<double>(body, e.eb);
-    util::put_string(body, e.data.codec);
-    util::put_le<std::uint64_t>(body, e.data.offset);
-    util::put_le<std::uint64_t>(body, e.data.length);
-    util::put_le<std::uint32_t>(body, e.data.crc);
-    util::put_string(body, e.index.codec);
-    util::put_le<std::uint64_t>(body, e.index.offset);
-    util::put_le<std::uint64_t>(body, e.index.length);
-    util::put_le<std::uint32_t>(body, e.index.crc);
-    util::put_le<std::uint64_t>(body, e.bias_offset);
-    util::put_le<std::uint64_t>(body, e.bias_count);
-  }
-  std::vector<std::uint8_t> out = std::move(bytes);
-  util::put_bytes(out, body);
-  util::put_le<std::uint32_t>(out, util::crc32(body));
-  util::put_le<std::uint64_t>(out, body.size());
-  util::put_le<std::uint32_t>(out, kFooterMagic);
-  return out;
-}
+using testing::strip_footer;
+using testing::with_footer;
 
 TEST(CodebookCorrupt, DataIdCountMismatchRejected) {
   // Patch the DCQV count field down by one (re-signing the stream CRC in
   // the footer, so the tamper passes the checksum gate): the data stream
   // then decodes one fewer id than the index stream has deltas.
   auto layer = data::synthesize_pruned_layer("fc1", 8, 16, 0.3, 71);
-  auto base = dc_container_of({layer}, /*write_index=*/false);
+  auto base = strip_footer(dc_container_of({layer}));
   auto entries = core::ContainerReader(base).entries();
   ASSERT_EQ(entries.size(), 1u);
   const auto off = static_cast<std::size_t>(entries[0].data.offset);
@@ -300,9 +269,8 @@ TEST(CodebookCorrupt, WrongLengthBiasRejectedForCodebookLayer) {
   auto layer = data::synthesize_pruned_layer("fc1", 8, 16, 0.3, 73);
   std::map<std::string, std::vector<float>> biases = {
       {"fc1", std::vector<float>(8, 0.25f)}};
-  auto copts = dc_container_options();
-  copts.write_index = false;
-  auto base = core::encode_model({layer}, {}, copts, biases).bytes;
+  auto base = strip_footer(
+      core::encode_model({layer}, {}, dc_container_options(), biases).bytes);
   auto entries = core::ContainerReader(base).entries();
   ASSERT_EQ(entries[0].bias_count, 8u);
   entries[0].bias_count = 7;  // truncated, but within the valid extent

@@ -61,6 +61,8 @@ void expect_same_csr(const ServedLayer& got, const ServedLayer& want,
   ASSERT_EQ(got.csr_rowptr, want.csr_rowptr) << what;
   ASSERT_EQ(got.csr_col, want.csr_col) << what;
   ASSERT_EQ(got.csr_val.size(), want.csr_val.size()) << what;
+  // memcmp with an empty vector's null data() is UB even for 0 bytes.
+  if (got.csr_val.empty()) return;
   EXPECT_EQ(std::memcmp(got.csr_val.data(), want.csr_val.data(),
                         got.csr_val.size() * sizeof(float)),
             0)
@@ -147,8 +149,10 @@ TEST(CsrBuildDifferential, GoldenFixturesMatchDenseScan) {
     }
   }
   // The delta fixture decodes through its base.
+  // The reader is non-owning: both byte buffers outlive it.
   const auto base = deepsz::testing::read_fixture("delta_base_v3.dszc");
-  core::ContainerReader delta(deepsz::testing::read_fixture("delta_v3.dszc"));
+  const auto delta_bytes = deepsz::testing::read_fixture("delta_v3.dszc");
+  core::ContainerReader delta(delta_bytes);
   delta.set_base(std::make_shared<core::ContainerReader>(base));
   for (std::size_t i = 0; i < delta.num_layers(); ++i) {
     check_layer(delta.decode_layer(i), nullptr,

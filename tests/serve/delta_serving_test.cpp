@@ -83,6 +83,8 @@ void expect_bits_equal(const std::vector<float>& got,
                        const std::vector<float>& want,
                        const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
+  // memcmp with an empty vector's null data() is UB even for 0 bytes.
+  if (got.empty()) return;
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0)
       << what << " bits differ";

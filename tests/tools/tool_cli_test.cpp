@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "tests/lossless/corrupt_blosc_frame.h"
+
 namespace {
 
 #ifndef DEEPSZ_TOOL_PATH
@@ -24,9 +26,11 @@ struct RunResult {
   std::string stdout_text;
 };
 
-RunResult run_tool(const std::string& args) {
-  const std::string cmd =
-      std::string(DEEPSZ_TOOL_PATH) + " " + args + " 2>/dev/null";
+/// Runs the tool; stderr is dropped, or captured with stdout when
+/// `with_stderr` is set.
+RunResult run_tool(const std::string& args, bool with_stderr = false) {
+  const std::string cmd = std::string(DEEPSZ_TOOL_PATH) + " " + args +
+                          (with_stderr ? " 2>&1" : " 2>/dev/null");
   std::FILE* pipe = ::popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   RunResult r;
@@ -116,6 +120,25 @@ TEST(ToolCli, DocumentedExitCodes) {
             4);  // bad argument value
   std::remove(f32.c_str());
   std::remove(sz.c_str());
+}
+
+TEST(ToolCli, UnpackOfCorruptMultiBlockFrameExitsOne) {
+  // The frame's blocks decode on the tool's thread pool; the one that
+  // throws must end the run as a runtime error (exit 1), not an abort.
+  const std::string in = ::testing::TempDir() + "tool_cli_corrupt.blosc";
+  const std::string out = in + ".out";
+  {
+    const auto frame = deepsz::testing::corrupt_multi_block_blosc_frame();
+    std::ofstream f(in, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(frame.data()),
+            static_cast<std::streamsize>(frame.size()));
+  }
+  const auto r = run_tool("unpack " + in + " " + out, /*with_stderr=*/true);
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.stdout_text.find("blosc_like:"), std::string::npos)
+      << r.stdout_text;
+  std::remove(in.c_str());
+  std::remove(out.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace deepsz::util {
@@ -135,24 +136,135 @@ TEST(ThreadPoolEdge, NestedParallelForFromRawPoolTaskRunsInline) {
 }
 
 TEST(ThreadPoolEdge, CapturedExceptionsRethrowAfterChunkedLoop) {
-  // Pool tasks must not throw, so the supported idiom (used by
-  // core::for_each_layer) captures per-index exceptions and rethrows the
-  // first after the join. Verify an error raised inside a chunk surfaces.
+  // Pool tasks must not throw; parallel_for captures each chunk's exception
+  // on the worker and rethrows it after the join. An error raised inside a
+  // chunk surfaces on the caller.
   const std::size_t n = 1000;
-  std::vector<std::exception_ptr> errors(n);
   auto run = [&] {
     parallel_for(0, n, [&](std::size_t i) {
-      try {
-        if (i % 97 == 13) throw std::runtime_error("chunk failure");
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
+      if (i % 97 == 13) throw std::runtime_error("chunk failure");
     });
-    for (auto& e : errors) {
-      if (e) std::rethrow_exception(e);
-    }
   };
   EXPECT_THROW(run(), std::runtime_error);
+}
+
+// The error contract of parallel_for / parallel_for_chunks: a throwing body
+// never reaches a pool worker (which would terminate the process), and the
+// caller sees the exception thrown at the lowest index — on the pooled, the
+// nested-inline and the serial path alike. ctest runs with DEEPSZ_THREADS=4,
+// so the loops below take the pooled path unless stated otherwise.
+
+/// The message of the runtime_error `fn` throws ("" when it throws none).
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParallelForErrors, PooledLoopRethrowsLowestIndex) {
+  const std::size_t n = 4096;
+  const auto msg = thrown_message([&] {
+    parallel_for(0, n, [](std::size_t i) {
+      if (i % 97 == 13) throw std::runtime_error(std::to_string(i));
+    });
+  });
+  EXPECT_EQ(msg, "13");
+  // The pool survives and keeps serving loops.
+  std::atomic<std::size_t> count{0};
+  parallel_for(0, n, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), n);
+}
+
+TEST(ParallelForErrors, PooledChunksRethrowLowestChunk) {
+  // Only the chunks reaching into the upper half throw; the caller must see
+  // the one with the lowest range, whichever worker finished first.
+  const std::size_t n = 100000;
+  Mutex mu;
+  std::vector<std::size_t> thrown_los;
+  const auto msg = thrown_message([&] {
+    parallel_for_chunks(0, n, [&](std::size_t lo, std::size_t hi) {
+      if (hi <= n / 2) return;
+      {
+        MutexLock lock(mu);
+        thrown_los.push_back(lo);
+      }
+      throw std::runtime_error(std::to_string(lo));
+    });
+  });
+  ASSERT_FALSE(thrown_los.empty());
+  EXPECT_EQ(msg, std::to_string(*std::min_element(thrown_los.begin(),
+                                                  thrown_los.end())));
+}
+
+TEST(ParallelForErrors, NestedInlineLoopsRethrowLowestIndex) {
+  // Inner loops run inline on the workers; their exceptions leave the outer
+  // body and are rethrown by the outer loop, lowest outer index first.
+  const auto msg = thrown_message([] {
+    parallel_for(0, 16, [](std::size_t r) {
+      parallel_for(0, 4096, [r](std::size_t c) {
+        if (r >= 3 && c >= 100 && c % 50 == 0) {
+          throw std::runtime_error(std::to_string(r) + ":" +
+                                   std::to_string(c));
+        }
+      });
+    });
+  });
+  EXPECT_EQ(msg, "3:100");
+
+  const auto chunks_msg = thrown_message([] {
+    parallel_for(0, 16, [](std::size_t r) {
+      parallel_for_chunks(
+          0, 4096,
+          [r](std::size_t, std::size_t) {
+            if (r >= 5) throw std::runtime_error(std::to_string(r));
+          },
+          16);
+    });
+  });
+  EXPECT_EQ(chunks_msg, "5");
+}
+
+TEST(ParallelForErrors, LoopInsideRawPoolTaskThrowsToThatTask) {
+  // A directly submitted task runs a nested loop inline; the loop's
+  // exception reaches the task (which, as every task must, handles it).
+  auto& pool = ThreadPool::global();
+  std::string msg;
+  pool.submit([&msg] {
+    msg = thrown_message([] {
+      parallel_for(0, 1000, [](std::size_t i) {
+        if (i >= 600) throw std::runtime_error(std::to_string(i));
+      });
+    });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(msg, "600");
+}
+
+TEST(ParallelForErrors, SerialPathRethrowsLowestIndex) {
+  // A range no larger than the grain runs as a plain loop on the caller.
+  const auto msg = thrown_message([] {
+    parallel_for(
+        0, 10,
+        [](std::size_t i) {
+          if (i == 3 || i == 7) throw std::runtime_error(std::to_string(i));
+        },
+        /*grain=*/100);
+  });
+  EXPECT_EQ(msg, "3");
+  const auto chunks_msg = thrown_message([] {
+    parallel_for_chunks(
+        0, 10,
+        [](std::size_t lo, std::size_t hi) {
+          throw std::runtime_error(std::to_string(lo) + "-" +
+                                   std::to_string(hi));
+        },
+        /*min_chunk=*/100);
+  });
+  EXPECT_EQ(chunks_msg, "0-10");
 }
 
 }  // namespace
